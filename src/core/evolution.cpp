@@ -13,7 +13,7 @@
 namespace hsconas::core {
 
 EvolutionSearch::EvolutionSearch(const SearchSpace& space,
-                                 AccuracyFn accuracy,
+                                 BatchAccuracyFn accuracy,
                                  const LatencyModel& latency,
                                  Objective objective, Config config)
     : space_(space),
@@ -22,7 +22,8 @@ EvolutionSearch::EvolutionSearch(const SearchSpace& space,
       objective_(objective),
       config_(config),
       rng_(config.seed) {
-  HSCONAS_CHECK_MSG(accuracy_ != nullptr, "EvolutionSearch: null accuracy");
+  HSCONAS_CHECK_MSG(static_cast<bool>(accuracy_),
+                    "EvolutionSearch: null accuracy");
   if (config_.population < 2 || config_.parents < 1 ||
       config_.parents > config_.population || config_.generations < 1) {
     throw InvalidArgument("EvolutionSearch: bad population configuration");
@@ -30,7 +31,7 @@ EvolutionSearch::EvolutionSearch(const SearchSpace& space,
 }
 
 EvolutionSearch::EvolutionSearch(const SearchSpace& space,
-                                 AccuracyFn accuracy,
+                                 BatchAccuracyFn accuracy,
                                  const LatencyModel& latency,
                                  const EnergyModel& energy,
                                  Objective objective, Config config)
@@ -48,59 +49,44 @@ double EvolutionSearch::cached_latency_ms(const Arch& arch) {
   static obs::Counter& hits = obs::counter("hsconas.evolution.memo_hits");
   static obs::Counter& misses = obs::counter("hsconas.evolution.memo_misses");
   const std::uint64_t h = arch.hash();
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    double ms = 0.0;
-    if (latency_memo_.lookup(h, arch, &ms)) {
-      hits.add();
-      memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      return ms;
-    }
+  double ms = 0.0;
+  if (latency_memo_.lookup(h, arch, &ms)) {
+    hits.add();
+    ++memo_hits_;
+    return ms;
   }
   misses.add();
-  memo_misses_.fetch_add(1, std::memory_order_relaxed);
-  // Compute outside the lock; predict_ms is deterministic, so a racing
-  // duplicate computation stores the identical value.
-  const double ms = latency_.predict_ms(arch);
-  std::lock_guard<std::mutex> lock(memo_mutex_);
+  ++memo_misses_;
+  ms = latency_.predict_ms(arch);
   latency_memo_.store(h, arch, ms);
   return ms;
 }
 
-EvolutionSearch::Candidate EvolutionSearch::evaluate(Arch arch) {
-  static obs::Counter& evaluated =
-      obs::counter("hsconas.evolution.candidates_evaluated");
-  evaluated.add();
-  Candidate c;
-  c.arch = std::move(arch);
-  c.accuracy = accuracy_(c.arch);
-  c.latency_ms = cached_latency_ms(c.arch);
-  if (energy_ != nullptr) {
-    c.energy_mj = energy_->predict_mj(c.arch);
-    c.score = objective_.score(c.accuracy, c.latency_ms, c.energy_mj);
-  } else {
-    c.score = objective_.score(c.accuracy, c.latency_ms);
-  }
-  return c;
-}
-
 std::vector<EvolutionSearch::Candidate> EvolutionSearch::evaluate_batch(
     std::vector<Arch> archs) {
-  std::vector<Candidate> out(archs.size());
+  static obs::Counter& evaluated =
+      obs::counter("hsconas.evolution.candidates_evaluated");
+  evaluated.add(archs.size());
+  // One accuracy call per bred batch. A per-arch functor fans out across
+  // the pool under parallel_eval; each index writes only its own slot, so
+  // the result is bit-identical to the serial loop for any worker count.
   util::ThreadPool& pool =
       config_.pool != nullptr ? *config_.pool : util::ThreadPool::global();
-  if (!config_.parallel_eval || pool.size() <= 1 || archs.size() <= 1) {
-    for (std::size_t i = 0; i < archs.size(); ++i) {
-      out[i] = evaluate(std::move(archs[i]));
+  const std::vector<double> acc =
+      accuracy_(archs, config_.parallel_eval ? &pool : nullptr);
+  std::vector<Candidate> out(archs.size());
+  for (std::size_t i = 0; i < archs.size(); ++i) {
+    Candidate& c = out[i];
+    c.arch = std::move(archs[i]);
+    c.accuracy = acc[i];
+    c.latency_ms = cached_latency_ms(c.arch);
+    if (energy_ != nullptr) {
+      c.energy_mj = energy_->predict_mj(c.arch);
+      c.score = objective_.score(c.accuracy, c.latency_ms, c.energy_mj);
+    } else {
+      c.score = objective_.score(c.accuracy, c.latency_ms);
     }
-    return out;
   }
-  // Each index writes only its own slot and evaluation order does not
-  // affect any candidate's value, so this is bit-identical to the serial
-  // loop above for any worker count.
-  pool.parallel_for(archs.size(), [&](std::size_t i) {
-    out[i] = evaluate(std::move(archs[i]));
-  });
   return out;
 }
 
@@ -202,10 +188,8 @@ void EvolutionSearch::step_generation() {
   obs::gauge("hsconas.evolution.best_score").set(stats.best_score);
   obs::gauge("hsconas.evolution.best_latency_ms")
       .set(stats.best_latency_ms);
-  const double hits = static_cast<double>(
-      memo_hits_.load(std::memory_order_relaxed));
-  const double misses = static_cast<double>(
-      memo_misses_.load(std::memory_order_relaxed));
+  const double hits = static_cast<double>(memo_hits_);
+  const double misses = static_cast<double>(memo_misses_);
   if (hits + misses > 0.0) {
     obs::gauge("hsconas.evolution.memo_hit_rate")
         .set(hits / (hits + misses));

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -13,7 +11,7 @@
 #include "core/energy_model.h"
 #include "core/latency_model.h"
 #include "core/objective.h"
-#include "core/space_shrinking.h"  // AccuracyFn
+#include "core/space_shrinking.h"  // BatchAccuracyFn
 
 namespace hsconas::util {
 class ThreadPool;
@@ -52,10 +50,11 @@ class ArchLatencyMemo {
 ///
 /// Candidate evaluation is batched per generation: offspring genomes are
 /// bred serially (all RNG decisions happen on one thread, in a fixed
-/// order) and then scored either inline or across a thread pool. Because
-/// scoring touches no shared mutable state, the parallel schedule is
-/// bit-identical to serial execution for a fixed seed — same Result.best,
-/// same per_generation stats — regardless of worker count.
+/// order) and then scored through one accuracy call — a batch oracle sees
+/// the whole generation, a per-arch functor runs inline or across a thread
+/// pool. Each candidate's accuracy depends only on its arch, so the result
+/// is bit-identical to one-by-one serial scoring for a fixed seed — same
+/// Result.best, same per_generation stats — regardless of worker count.
 class EvolutionSearch {
  public:
   struct Config {
@@ -68,11 +67,11 @@ class EvolutionSearch {
     /// mutation (so mutation changes a couple of layers, not all 20).
     double gene_mutation_prob = 0.1;
     std::uint64_t seed = 99;
-    /// Score candidates concurrently via the thread pool. Requires the
-    /// accuracy functor (and energy model, when present) to be safe to
-    /// call from multiple threads at once — true for the pure
-    /// AccuracySurrogate, NOT true for supernet/trainer-backed functors,
-    /// which mutate module state on every forward pass.
+    /// Call a per-arch accuracy functor concurrently via the thread pool.
+    /// Requires the functor to be safe to call from multiple threads at
+    /// once — true for the pure AccuracySurrogate, NOT true for
+    /// supernet/trainer-backed functors, which mutate module state on
+    /// every forward pass. A batch oracle ignores it.
     bool parallel_eval = false;
     /// Pool for parallel_eval; nullptr means util::ThreadPool::global().
     util::ThreadPool* pool = nullptr;
@@ -102,13 +101,13 @@ class EvolutionSearch {
     std::vector<Candidate> evaluated;
   };
 
-  EvolutionSearch(const SearchSpace& space, AccuracyFn accuracy,
+  EvolutionSearch(const SearchSpace& space, BatchAccuracyFn accuracy,
                   const LatencyModel& latency, Objective objective,
                   Config config);
 
   /// Energy-aware variant (§V extension): candidates are additionally
   /// priced by the energy model and scored with the γ term of Objective.
-  EvolutionSearch(const SearchSpace& space, AccuracyFn accuracy,
+  EvolutionSearch(const SearchSpace& space, BatchAccuracyFn accuracy,
                   const LatencyModel& latency, const EnergyModel& energy,
                   Objective objective, Config config);
 
@@ -135,8 +134,7 @@ class EvolutionSearch {
  private:
   void init_population();
   void step_generation();
-  Candidate evaluate(Arch arch);
-  /// Score a bred batch, preserving index order; parallel when configured.
+  /// Score a bred batch through one accuracy call, preserving index order.
   std::vector<Candidate> evaluate_batch(std::vector<Arch> archs);
   /// LatencyModel::predict_ms memoized via ArchLatencyMemo — repeat
   /// genotypes (elites, re-bred duplicates) never re-walk the LUT, and a
@@ -146,7 +144,7 @@ class EvolutionSearch {
   Arch mutate(Arch arch);
 
   const SearchSpace& space_;
-  AccuracyFn accuracy_;
+  BatchAccuracyFn accuracy_;
   const LatencyModel& latency_;
   const EnergyModel* energy_ = nullptr;  ///< optional, non-owning
   Objective objective_;
@@ -161,12 +159,11 @@ class EvolutionSearch {
   Result result_;
 
   ArchLatencyMemo latency_memo_;
-  std::mutex memo_mutex_;
   /// This search's own memo statistics (the registry counters aggregate
-  /// across all searches in the process); atomics because evaluate() runs
-  /// across the pool. Feeds the per-generation memo-hit-rate gauge.
-  std::atomic<std::uint64_t> memo_hits_{0};
-  std::atomic<std::uint64_t> memo_misses_{0};
+  /// across all searches in the process). Feeds the per-generation
+  /// memo-hit-rate gauge.
+  std::uint64_t memo_hits_ = 0;
+  std::uint64_t memo_misses_ = 0;
 };
 
 }  // namespace hsconas::core

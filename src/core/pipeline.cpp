@@ -161,7 +161,7 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
   std::unique_ptr<Supernet> supernet;
   std::unique_ptr<SupernetTrainer> trainer;
   std::unique_ptr<AccuracySurrogate> surrogate;
-  AccuracyFn accuracy;
+  BatchAccuracyFn accuracy;
 
   if (config_.use_surrogate) {
     surrogate = std::make_unique<AccuracySurrogate>(space_,
@@ -177,9 +177,10 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
     tc.seed ^= config_.seed;
     tc.verbose = config_.verbose;
     trainer = std::make_unique<SupernetTrainer>(*supernet, *dataset, tc);
-    accuracy = [&t = *trainer, n = config_.eval_batches](const Arch& arch) {
-      return t.evaluate(arch, n);
-    };
+    accuracy = BatchAccuracyFn::batched(
+        [&t = *trainer, n = config_.eval_batches](std::span<const Arch> archs) {
+          return t.evaluate(archs, n);
+        });
   }
 
   // ---- resume: load checkpointed state before building dependents ----------
@@ -271,10 +272,10 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
   }
 
   // ---- search components (restored state flows in below) -------------------
-  // The surrogate is a pure function of the arch, so subspace sampling and
-  // candidate scoring may fan out across the thread pool; the
-  // supernet/trainer functor mutates module state per forward pass and
-  // must stay serial.
+  // The surrogate is a pure function of the arch, so its calls may fan out
+  // across the thread pool. The supernet oracle mutates module state per
+  // forward pass; it gets each generation or subspace set as one batch and
+  // shares the stem and common layer prefixes instead.
   SpaceShrinker shrinker(space_, accuracy, *latency_model_, objective,
                          [&] {
                            auto c = config_.shrink;

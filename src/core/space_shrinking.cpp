@@ -10,7 +10,34 @@
 
 namespace hsconas::core {
 
-SpaceShrinker::SpaceShrinker(SearchSpace& space, AccuracyFn accuracy,
+BatchAccuracyFn BatchAccuracyFn::batched(Batch fn) {
+  BatchAccuracyFn out;
+  out.batch_ = std::move(fn);
+  return out;
+}
+
+std::vector<double> BatchAccuracyFn::operator()(std::span<const Arch> archs,
+                                                util::ThreadPool* pool) const {
+  if (batch_) {
+    std::vector<double> acc = batch_(archs);
+    HSCONAS_CHECK_MSG(acc.size() == archs.size(),
+                      "BatchAccuracyFn: batch oracle returned " +
+                          std::to_string(acc.size()) + " accuracies for " +
+                          std::to_string(archs.size()) + " archs");
+    return acc;
+  }
+  HSCONAS_CHECK_MSG(per_arch_ != nullptr, "BatchAccuracyFn: empty oracle");
+  std::vector<double> acc(archs.size());
+  const auto score_one = [&](std::size_t i) { acc[i] = per_arch_(archs[i]); };
+  if (pool != nullptr && pool->size() > 1 && archs.size() > 1) {
+    pool->parallel_for(archs.size(), score_one);
+  } else {
+    for (std::size_t i = 0; i < archs.size(); ++i) score_one(i);
+  }
+  return acc;
+}
+
+SpaceShrinker::SpaceShrinker(SearchSpace& space, BatchAccuracyFn accuracy,
                              const LatencyModel& latency, Objective objective,
                              Config config)
     : space_(space),
@@ -19,64 +46,57 @@ SpaceShrinker::SpaceShrinker(SearchSpace& space, AccuracyFn accuracy,
       objective_(objective),
       config_(config),
       rng_(config.seed) {
-  HSCONAS_CHECK_MSG(accuracy_ != nullptr, "SpaceShrinker: null accuracy fn");
+  HSCONAS_CHECK_MSG(static_cast<bool>(accuracy_),
+                    "SpaceShrinker: null accuracy fn");
   if (config_.samples_per_subspace < 1) {
     throw InvalidArgument("SpaceShrinker: samples_per_subspace must be >= 1");
   }
 }
 
-double SpaceShrinker::subspace_quality(int layer, int op) {
-  // Q(A_sub) = (1/N) Σ F(arch_i, T),  arch_i ~ U(A_sub)   (Definition 1)
-  // Samples are drawn serially (one RNG stream, fixed order), then scored
-  // — across the pool when configured — and reduced in index order, so
-  // the mean is identical at any worker count.
+SpaceShrinker::LayerDecision SpaceShrinker::shrink_layer(int layer) {
+  HSCONAS_TRACE_SCOPE("shrink.layer");
   static obs::Counter& q_samples = obs::counter("hsconas.shrink.q_samples");
   static obs::Counter& subspaces =
       obs::counter("hsconas.shrink.subspaces_scored");
-  const std::size_t n = static_cast<std::size_t>(config_.samples_per_subspace);
-  q_samples.add(n);
-  subspaces.add();
-  std::vector<Arch> samples;
-  samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    samples.push_back(Arch::random_with_fixed_op(space_, rng_, layer, op));
-  }
-
-  std::vector<double> scores(n);
-  const auto score_one = [&](std::size_t i) {
-    scores[i] = objective_.score(accuracy_(samples[i]),
-                                 latency_.predict_ms(samples[i]));
-  };
-  util::ThreadPool& pool =
-      config_.pool != nullptr ? *config_.pool : util::ThreadPool::global();
-  if (config_.parallel_eval && pool.size() > 1) {
-    pool.parallel_for(n, score_one);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) score_one(i);
-  }
-
-  double total = 0.0;
-  for (double s : scores) total += s;
-  ++total_evaluated_;
-  return total / static_cast<double>(config_.samples_per_subspace);
-}
-
-SpaceShrinker::LayerDecision SpaceShrinker::shrink_layer(int layer) {
-  HSCONAS_TRACE_SCOPE("shrink.layer");
   const std::vector<int> candidates = space_.allowed_ops(layer);
   HSCONAS_CHECK_MSG(!candidates.empty(), "shrink_layer: no candidates");
+
+  // Q(A_sub) = (1/N) Σ F(arch_i, T),  arch_i ~ U(A_sub)   (Definition 1)
+  // Every subspace's samples are drawn serially (one RNG stream, subspace
+  // by subspace), scored in one accuracy call, and each mean is reduced in
+  // index order, so the qualities do not depend on how the oracle batches
+  // or parallelizes its work.
+  const std::size_t n = static_cast<std::size_t>(config_.samples_per_subspace);
+  std::vector<Arch> samples;
+  samples.reserve(n * candidates.size());
+  for (int op : candidates) {
+    for (std::size_t i = 0; i < n; ++i) {
+      samples.push_back(Arch::random_with_fixed_op(space_, rng_, layer, op));
+    }
+  }
+  util::ThreadPool& pool =
+      config_.pool != nullptr ? *config_.pool : util::ThreadPool::global();
+  const std::vector<double> acc =
+      accuracy_(samples, config_.parallel_eval ? &pool : nullptr);
+  q_samples.add(samples.size());
+  subspaces.add(candidates.size());
 
   LayerDecision decision;
   decision.layer = layer;
   decision.quality.reserve(candidates.size());
   double best_q = -1e300;
-  for (int op : candidates) {
-    const double q = subspace_quality(layer, op);
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    double total = 0.0;
+    for (std::size_t i = k * n; i < (k + 1) * n; ++i) {
+      total += objective_.score(acc[i], latency_.predict_ms(samples[i]));
+    }
+    const double q = total / static_cast<double>(n);
     decision.quality.push_back(q);
     ++decision.subspaces_evaluated;
+    ++total_evaluated_;
     if (q > best_q) {
       best_q = q;
-      decision.chosen_op = op;
+      decision.chosen_op = candidates[k];
     }
   }
   space_.fix_op(layer, decision.chosen_op);

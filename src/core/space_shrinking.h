@@ -1,6 +1,8 @@
 #pragma once
 
 #include <functional>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/arch.h"
@@ -19,6 +21,39 @@ namespace hsconas::core {
 /// surrogate.
 using AccuracyFn = std::function<double(const Arch&)>;
 
+/// The accuracy oracle the shrinker and the EA call: one accuracy per arch,
+/// in input order, for a whole subspace set or generation at once. A batch
+/// oracle (the proxy pipeline's Supernet::evaluate) can share work across
+/// the archs it is given. Any per-arch functor converts implicitly and is
+/// then called once per arch, across `pool` when one is passed — the
+/// parallel_eval contract of the search components. A batch oracle gets
+/// the whole span and ignores `pool`.
+class BatchAccuracyFn {
+ public:
+  using Batch = std::function<std::vector<double>(std::span<const Arch>)>;
+
+  BatchAccuracyFn() = default;
+
+  /// Per-arch oracle: an AccuracyFn, a lambda, a function pointer.
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, BatchAccuracyFn> &&
+             std::is_invocable_r_v<double, F&, const Arch&>)
+  BatchAccuracyFn(F fn)  // implicit: per-arch functors convert
+      : per_arch_(std::move(fn)) {}
+
+  /// Whole-batch oracle.
+  static BatchAccuracyFn batched(Batch fn);
+
+  explicit operator bool() const { return per_arch_ || batch_; }
+
+  std::vector<double> operator()(std::span<const Arch> archs,
+                                 util::ThreadPool* pool = nullptr) const;
+
+ private:
+  AccuracyFn per_arch_;
+  Batch batch_;
+};
+
 /// Progressive space shrinking (§III-C).
 ///
 /// For a target layer l, every allowed operator k defines a subspace
@@ -33,10 +68,10 @@ class SpaceShrinker {
   struct Config {
     int samples_per_subspace = 100;  ///< N of Definition 1
     std::uint64_t seed = 77;
-    /// Score the N subspace samples concurrently. The archs are drawn
-    /// serially first (fixed RNG order) and the mean is reduced in index
-    /// order, so the result is bit-identical to serial execution — but
-    /// the accuracy functor must be thread-safe (see EvolutionSearch's
+    /// Score a per-arch accuracy functor's samples concurrently. The archs
+    /// are drawn serially first (fixed RNG order) and each mean is reduced
+    /// in index order, so the result is bit-identical to serial execution
+    /// — but the functor must be thread-safe (see EvolutionSearch's
     /// parallel_eval for which functors qualify).
     bool parallel_eval = false;
     /// Pool for parallel_eval; nullptr means util::ThreadPool::global().
@@ -44,7 +79,7 @@ class SpaceShrinker {
   };
 
   /// The space is mutated in place by shrink operations.
-  SpaceShrinker(SearchSpace& space, AccuracyFn accuracy,
+  SpaceShrinker(SearchSpace& space, BatchAccuracyFn accuracy,
                 const LatencyModel& latency, Objective objective,
                 Config config);
 
@@ -55,10 +90,10 @@ class SpaceShrinker {
     int subspaces_evaluated = 0;
   };
 
-  /// Quality Q(A_sub) of the subspace fixing `op` at `layer` (Def. 1).
-  double subspace_quality(int layer, int op);
-
-  /// Shrink one layer: evaluate all allowed ops, fix the best.
+  /// Shrink one layer: evaluate all allowed ops, fix the best. The N
+  /// samples of every subspace are drawn first (subspace by subspace, in
+  /// op order), scored in one accuracy call, and each quality Q(A_sub)
+  /// (Definition 1) is reduced in sample order.
   LayerDecision shrink_layer(int layer);
 
   /// Shrink a back-to-front run of `count` layers starting at `from_layer`
@@ -78,7 +113,7 @@ class SpaceShrinker {
 
  private:
   SearchSpace& space_;
-  AccuracyFn accuracy_;
+  BatchAccuracyFn accuracy_;
   const LatencyModel& latency_;
   Objective objective_;
   Config config_;

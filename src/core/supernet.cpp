@@ -1,5 +1,9 @@
 #include "core/supernet.h"
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
+
 #include "nn/quantize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -82,24 +86,46 @@ nn::ChoiceBlock& Supernet::block(int layer, int op) {
 }
 
 Tensor Supernet::forward(const Tensor& images, const Arch& arch) {
+  check_arch(arch);
+  return forward_from(images, arch, 0, nullptr);
+}
+
+Tensor Supernet::forward_from(const Tensor& images, const Arch& arch,
+                              std::size_t reuse, std::vector<Tensor>* acts) {
   HSCONAS_TRACE_SCOPE("supernet.forward");
   static obs::Counter& forwards = obs::counter("hsconas.supernet.forwards");
+  static obs::Counter& blocks_run =
+      obs::counter("hsconas.supernet.blocks_run");
+  static obs::Counter& blocks_reused =
+      obs::counter("hsconas.supernet.blocks_reused");
+  const std::size_t depths = static_cast<std::size_t>(space_.num_layers()) + 1;
+  HSCONAS_CHECK_MSG(reuse == 0 || (acts != nullptr && reuse <= depths),
+                    "Supernet::forward_from: bad reuse depth");
   forwards.add();
-  check_arch(arch);
-  active_path_.clear();
-  active_path_.push_back(stem_.get());
-  Tensor h = stem_->forward(images);
+  blocks_run.add(depths - reuse);
+  blocks_reused.add(reuse);
 
-  for (int l = 0; l < space_.num_layers(); ++l) {
-    nn::ChoiceBlock& blk = block(l, arch.ops[static_cast<std::size_t>(l)]);
-    blk.set_channel_factor(space_.config().channel_factors.at(
-        static_cast<std::size_t>(arch.factors[static_cast<std::size_t>(l)])));
-    active_path_.push_back(&blk);
-    h = blk.forward(h);
+  active_path_.clear();
+  Tensor h;  // the latest activation when acts == nullptr
+  const Tensor* in = reuse == 0 ? &images : &(*acts)[reuse - 1];
+  for (std::size_t d = 0; d < depths; ++d) {
+    nn::Module* m = stem_.get();
+    if (d > 0) {
+      const std::size_t l = d - 1;
+      nn::ChoiceBlock& blk = block(static_cast<int>(l), arch.ops[l]);
+      blk.set_channel_factor(space_.config().channel_factors.at(
+          static_cast<std::size_t>(arch.factors[l])));
+      m = &blk;
+    }
+    active_path_.push_back(m);
+    if (d < reuse) continue;
+    Tensor& slot = acts != nullptr ? (*acts)[d] : h;
+    slot = m->forward(*in);  // may read slot (== h); assigned after
+    in = &slot;
   }
 
   active_path_.push_back(head_conv_.get());
-  h = head_conv_->forward(h);
+  h = head_conv_->forward(*in);
   active_path_.push_back(&gap_);
   h = gap_.forward(h);
   active_path_.push_back(classifier_.get());
@@ -160,24 +186,67 @@ void Supernet::set_training(bool training) {
 double Supernet::evaluate(const data::SyntheticDataset& dataset,
                           const Arch& arch, std::size_t batch_size,
                           std::size_t max_batches) {
-  check_arch(arch);
+  return evaluate(dataset, std::span<const Arch>(&arch, 1), batch_size,
+                  max_batches)
+      .front();
+}
+
+std::vector<double> Supernet::evaluate(const data::SyntheticDataset& dataset,
+                                       std::span<const Arch> archs,
+                                       std::size_t batch_size,
+                                       std::size_t max_batches) {
+  for (const Arch& arch : archs) check_arch(arch);
   // Batch-statistics BN: keep training mode but never call backward.
   set_training(true);
   data::DataLoader loader(dataset, batch_size, /*train=*/false, /*seed=*/0);
   const std::size_t batches =
       max_batches == 0 ? loader.num_batches()
                        : std::min(max_batches, loader.num_batches());
-  std::size_t correct = 0, total = 0;
+
+  // Genome order puts archs that share a layer prefix next to each other;
+  // reuse[k] is how many leading depths (stem included) the k-th visited
+  // arch shares with the one visited before it.
+  const std::size_t n = archs.size();
+  const std::size_t L = static_cast<std::size_t>(space_.num_layers());
+  const auto shared_layers = [&](const Arch& a, const Arch& b) {
+    std::size_t l = 0;
+    while (l < L && a.ops[l] == b.ops[l] && a.factors[l] == b.factors[l]) ++l;
+    return l;
+  };
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
+    const Arch& a = archs[i];
+    const Arch& b = archs[j];
+    const std::size_t l = shared_layers(a, b);
+    return l < L && std::pair(a.ops[l], a.factors[l]) <
+                        std::pair(b.ops[l], b.factors[l]);
+  });
+  std::vector<std::size_t> reuse(n, 0);
+  for (std::size_t k = 1; k < n; ++k) {
+    reuse[k] = 1 + shared_layers(archs[order[k - 1]], archs[order[k]]);
+  }
+
+  std::vector<std::size_t> correct(n, 0);
+  std::size_t total = 0;
+  std::vector<Tensor> acts(L + 1);
   for (std::size_t b = 0; b < batches; ++b) {
-    data::Batch batch = loader.batch(b);
-    const Tensor logits = forward(batch.images, arch);
-    const nn::LossResult res = nn::cross_entropy(logits, batch.labels);
-    correct += res.correct_top1;
+    const data::Batch batch = loader.batch(b);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = order[k];
+      const Tensor logits = forward_from(batch.images, archs[i], reuse[k],
+                                         &acts);
+      correct[i] += nn::cross_entropy(logits, batch.labels).correct_top1;
+    }
     total += batch.labels.size();
   }
-  return total == 0 ? 0.0
-                    : static_cast<double>(correct) /
-                          static_cast<double>(total);
+  std::vector<double> accuracy(n, 0.0);
+  if (total == 0) return accuracy;
+  for (std::size_t i = 0; i < n; ++i) {
+    accuracy[i] =
+        static_cast<double>(correct[i]) / static_cast<double>(total);
+  }
+  return accuracy;
 }
 
 void Supernet::visit(const std::function<void(nn::Module&)>& fn) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/arch.h"
@@ -63,10 +64,28 @@ class Supernet {
   /// would calibrate one path's observers against another path's traffic).
   std::size_t calibrate_quant(const std::vector<tensor::Tensor>& batches);
 
-  /// Top-1 accuracy of `arch` on (a prefix of) the validation split.
-  /// Runs with batch-statistics BN (standard one-shot practice: candidate
-  /// paths never saw calibrated running stats). max_batches == 0 means the
-  /// full split.
+  /// Top-1 accuracy of every arch in `archs` on (a prefix of) the
+  /// validation split, index-aligned with `archs`. Runs with
+  /// batch-statistics BN (standard one-shot practice: candidate paths
+  /// never saw calibrated running stats). max_batches == 0 means the full
+  /// split.
+  ///
+  /// Prefix-shared scoring: for each validation batch the archs are
+  /// visited in genome order, the stem runs once, and each arch resumes at
+  /// the first layer whose (op, factor) gene differs from the previously
+  /// visited arch, reusing the activations before it. Weights are frozen
+  /// within the call and batch-statistics BN makes every block a pure
+  /// function of its input, so each accuracy is bit-identical to scoring
+  /// the arch on its own. BN running statistics are not updated over
+  /// reused prefixes; nothing reads them before calibrate_bn resets them.
+  /// Memory: one activation per depth for the current batch, released on
+  /// return. Each (arch, batch) pair is one `supernet.forward`.
+  std::vector<double> evaluate(const data::SyntheticDataset& dataset,
+                               std::span<const Arch> archs,
+                               std::size_t batch_size,
+                               std::size_t max_batches = 0);
+
+  /// evaluate() for a single arch.
   double evaluate(const data::SyntheticDataset& dataset, const Arch& arch,
                   std::size_t batch_size, std::size_t max_batches = 0);
 
@@ -101,6 +120,14 @@ class Supernet {
  private:
   void check_arch(const Arch& arch) const;
   nn::ChoiceBlock& block(int layer, int op);
+
+  /// Forward `arch` starting at depth `reuse` (depth 0 is the stem, depth
+  /// l + 1 is layer l). Depths before `reuse` are read from `acts`, and
+  /// every depth that runs is stored there; with acts == nullptr nothing
+  /// is kept and reuse must be 0.
+  tensor::Tensor forward_from(const tensor::Tensor& images, const Arch& arch,
+                              std::size_t reuse,
+                              std::vector<tensor::Tensor>* acts);
 
   const SearchSpace& space_;
   std::optional<Arch> fixed_arch_;

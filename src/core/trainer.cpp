@@ -208,6 +208,12 @@ void SupernetTrainer::import_state(util::ByteReader& in) {
   }
 }
 
+std::vector<double> SupernetTrainer::evaluate(std::span<const Arch> archs,
+                                              std::size_t eval_batches) {
+  return supernet_.evaluate(dataset_, archs, config_.batch_size,
+                            eval_batches);
+}
+
 double SupernetTrainer::evaluate(const Arch& arch,
                                  std::size_t eval_batches) {
   return supernet_.evaluate(dataset_, arch, config_.batch_size,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/supernet.h"
@@ -79,7 +80,12 @@ class SupernetTrainer {
 
   const std::vector<EpochStats>& history() const { return history_; }
 
-  /// Mean validation top-1 over `eval_batches` batches for one arch.
+  /// Validation top-1 over `eval_batches` batches for each arch, in one
+  /// prefix-shared Supernet::evaluate call.
+  std::vector<double> evaluate(std::span<const Arch> archs,
+                               std::size_t eval_batches = 0);
+
+  /// evaluate() for a single arch.
   double evaluate(const Arch& arch, std::size_t eval_batches = 0);
 
   /// Checkpoint/resume: both RNG streams (path sampling + loader

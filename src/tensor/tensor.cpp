@@ -136,22 +136,6 @@ void Tensor::add_(const Tensor& other) {
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-void Tensor::sub_(const Tensor& other) {
-  check_same_shape(other, "sub_");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-}
-
-void Tensor::mul_(float s) {
-  for (float& v : data_) v *= s;
-}
-
-void Tensor::axpy_(float alpha, const Tensor& x) {
-  check_same_shape(x, "axpy_");
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += alpha * x.data_[i];
-  }
-}
-
 void Tensor::hadamard_(const Tensor& other) {
   check_same_shape(other, "hadamard_");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
@@ -166,18 +150,6 @@ float Tensor::sum() const {
 float Tensor::mean() const {
   return data_.empty() ? 0.0f
                        : sum() / static_cast<float>(data_.size());
-}
-
-float Tensor::abs_max() const {
-  float m = 0.0f;
-  for (float v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
-float Tensor::l2_norm() const {
-  double acc = 0.0;
-  for (float v : data_) acc += static_cast<double>(v) * v;
-  return static_cast<float>(std::sqrt(acc));
 }
 
 bool Tensor::all_finite() const {

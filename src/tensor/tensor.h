@@ -183,16 +183,11 @@ class Tensor {
   void fill(float v);
   void zero() { fill(0.0f); }
   void add_(const Tensor& other);            ///< this += other
-  void sub_(const Tensor& other);            ///< this -= other
-  void mul_(float s);                        ///< this *= s
-  void axpy_(float alpha, const Tensor& x);  ///< this += alpha * x
   void hadamard_(const Tensor& other);       ///< this *= other (elementwise)
 
   // ---- reductions ----------------------------------------------------------
   float sum() const;
   float mean() const;
-  float abs_max() const;
-  float l2_norm() const;
 
   /// True iff every element is finite (NaN/Inf detection for training).
   bool all_finite() const;

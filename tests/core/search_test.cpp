@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <span>
+#include <string>
 
 #include "core/accuracy_surrogate.h"
 #include "core/evolution.h"
@@ -13,6 +16,7 @@
 #include "core/space_shrinking.h"
 #include "hwsim/registry.h"
 #include "util/error.h"
+#include "util/serial.h"
 
 namespace hsconas::core {
 namespace {
@@ -104,6 +108,57 @@ TEST(SpaceShrinker, DeterministicGivenSeed) {
   SpaceShrinker s2(f2.space, f2.accuracy_fn(), f2.model, f2.objective,
                    SpaceShrinker::Config{30, 99});
   EXPECT_EQ(s1.shrink_layer(5).chosen_op, s2.shrink_layer(5).chosen_op);
+}
+
+TEST(SpaceShrinker, BatchedScoringMatchesOneSampleAtATime) {
+  // shrink_layer draws all subspaces' samples first and scores them in one
+  // accuracy call. Decisions, quality bits and export_state bytes must
+  // equal Definition 1 evaluated one sample at a time, subspace by
+  // subspace, for a batch oracle and a per-arch functor alike.
+  Fixture ref, fb, fp;
+  const SpaceShrinker::Config cfg{12, 31};
+  const int layer = 4;
+  util::Rng rng(cfg.seed);
+  std::vector<double> quality;
+  int best_op = -1;
+  for (int op : ref.space.allowed_ops(layer)) {
+    double total = 0.0;
+    for (int i = 0; i < cfg.samples_per_subspace; ++i) {
+      const Arch a = Arch::random_with_fixed_op(ref.space, rng, layer, op);
+      total += ref.objective.score(ref.surrogate.accuracy(a),
+                                   ref.model.predict_ms(a));
+    }
+    quality.push_back(total / cfg.samples_per_subspace);
+    if (best_op < 0 || quality.back() > quality[static_cast<std::size_t>(
+                                            best_op)]) {
+      best_op = op;
+    }
+  }
+  util::ByteWriter expected_state;
+  expected_state.rng_state(rng.state());
+  expected_state.i32(static_cast<std::int32_t>(quality.size()));
+  const std::string expected = expected_state.take();
+
+  const BatchAccuracyFn batch_oracle = BatchAccuracyFn::batched(
+      [&s = fb.surrogate](std::span<const Arch> archs) {
+        std::vector<double> acc;
+        for (const Arch& a : archs) acc.push_back(s.accuracy(a));
+        return acc;
+      });
+  SpaceShrinker batched(fb.space, batch_oracle, fb.model, fb.objective, cfg);
+  SpaceShrinker per_arch(fp.space, fp.accuracy_fn(), fp.model, fp.objective,
+                         cfg);
+  for (SpaceShrinker* s : {&batched, &per_arch}) {
+    const SpaceShrinker::LayerDecision d = s->shrink_layer(layer);
+    EXPECT_EQ(d.chosen_op, best_op);
+    ASSERT_EQ(d.quality.size(), quality.size());
+    EXPECT_EQ(std::memcmp(d.quality.data(), quality.data(),
+                          quality.size() * sizeof(double)),
+              0);
+    util::ByteWriter state;
+    s->export_state(state);
+    EXPECT_EQ(state.take(), expected);
+  }
 }
 
 TEST(EvolutionSearch, FindsArchNearConstraint) {

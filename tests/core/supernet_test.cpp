@@ -62,7 +62,7 @@ TEST(Supernet, WeightSharingByIdentity) {
   std::vector<nn::Parameter*> params = net.path_parameters(a);
   for (nn::Parameter* p : params) {
     if (p->name.find("layer0") != std::string::npos) {
-      p->value.mul_(1.5f);
+      for (float& v : p->value.flat()) v *= 1.5f;
     }
   }
   const tensor::Tensor after = net.forward(x, b);

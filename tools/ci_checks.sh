@@ -17,10 +17,12 @@
 #      corpus; otherwise the always-built replay drivers re-run the
 #      checked-in corpora once (the live path on gcc-only hosts).
 #   6. clang-tidy over src/ and tools/ (skipped when not installed).
-#   7. ASan+UBSan build + full ctest, then an explicit `ctest -L quant`
-#      re-run: the int8 GEMM, PTQ calibration, and quantized-search
-#      suites exercise every integer accumulation/requantize path under
-#      the overflow checkers (skipped with --fast).
+#   7. ASan+UBSan build + full ctest, then explicit `ctest -L quant` and
+#      `ctest -L search` re-runs: the int8 GEMM, PTQ calibration, and
+#      quantized-search suites exercise every integer accumulation/
+#      requantize path under the overflow checkers, and the prefix-shared
+#      scoring suite holds activations across candidates (skipped with
+#      --fast).
 #   8. TSan build + full ctest, then explicit `ctest -L kernels`,
 #      `ctest -L obs`, and `ctest -L serving` re-runs (GEMM/fused-conv
 #      determinism, tracer/profiler, and batch-serving suites) under TSan
@@ -105,6 +107,13 @@ stage "quantization suites under ASan/UBSan (ctest -L quant)"
 # under the address/overflow checkers so a UB shift or accumulator
 # overflow cannot hide behind concurrent test noise.
 (cd "$root/ci-build-asan" && ctest --output-on-failure -L quant)
+
+stage "prefix-shared scoring suite under ASan/UBSan (ctest -L search)"
+# Batched Supernet::evaluate keeps one activation per depth alive across
+# candidates and resumes each candidate from a stored one; a stale or
+# out-of-range activation slot shows up here as a use-after-free or an
+# out-of-bounds read.
+(cd "$root/ci-build-asan" && ctest --output-on-failure -L search)
 
 stage "thread sanitizer build + full test suite"
 cmake -S "$root" -B "$root/ci-build-tsan" \
