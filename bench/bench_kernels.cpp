@@ -7,7 +7,8 @@
 // Pass `--json <path>` (in addition to the usual --benchmark_* flags) to
 // also dump a machine-readable summary for the perf trajectory tooling:
 // {"results": [{"op", "shape", "ns_per_iter", "gflops"}, ...],
-//  "metrics": <obs metrics snapshot>}. The snapshot carries the kernel
+//  "metrics": <obs metrics snapshot>}. Both ns_per_iter and gflops are
+// per wall-clock time, on every row. The snapshot carries the kernel
 // entry counters (GEMM/im2col calls, accumulated FLOPs) and the workspace
 // high-water mark accumulated over the benchmark session, so a saved run
 // records not just how fast the kernels were but how often each path ran.
@@ -30,9 +31,11 @@
 #include "core/trainer.h"
 #include "hwsim/registry.h"
 #include "nn/activation.h"
+#include "nn/batchnorm.h"
 #include "nn/blocks.h"
 #include "nn/conv2d.h"
 #include "nn/fused_conv.h"
+#include "nn/pooling.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "tensor/gemm.h"
@@ -243,6 +246,36 @@ void BM_ProxyRelu(benchmark::State& state) {
 }
 BENCHMARK(BM_ProxyRelu);
 
+// Training-mode BatchNorm (batch statistics, as every search-time eval
+// forward runs it) at the proxy's three stage shapes.
+// range: channels, input size.
+void BM_ProxyBatchNorm(benchmark::State& state) {
+  const long ch = state.range(0), hw = state.range(1);
+  util::Rng rng(14);
+  nn::BatchNorm2d bn(ch);
+  const Tensor x = Tensor::uniform({36, ch, hw, hw}, -1, 1, rng);
+  for (auto _ : state) {
+    Tensor y = bn.forward(x);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK(BM_ProxyBatchNorm)
+    ->Args({16, 12})
+    ->Args({32, 6})
+    ->Args({128, 3});
+
+// Global average pool over the proxy head's 128 ch × 3×3.
+void BM_ProxyGap(benchmark::State& state) {
+  util::Rng rng(15);
+  nn::GlobalAvgPool gap;
+  const Tensor x = Tensor::uniform({36, 128, 3, 3}, -1, 1, rng);
+  for (auto _ : state) {
+    Tensor y = gap.forward(x);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK(BM_ProxyGap);
+
 void BM_ChoiceBlockForward(benchmark::State& state) {
   util::Rng rng(5);
   const auto kind = static_cast<nn::BlockKind>(state.range(0));
@@ -327,11 +360,11 @@ class JsonDumpReporter : public benchmark::ConsoleReporter {
       // (op, shape) key stays the one older ledgers use.
       std::string name = run.benchmark_name();
       const std::string real_time = "/real_time";
-      if (name.size() > real_time.size() &&
+      const bool uses_real_time =
+          name.size() > real_time.size() &&
           name.compare(name.size() - real_time.size(), real_time.size(),
-                       real_time) == 0) {
-        name.resize(name.size() - real_time.size());
-      }
+                       real_time) == 0;
+      if (uses_real_time) name.resize(name.size() - real_time.size());
       const std::size_t slash = name.find('/');
       hsconas::util::Json rec = hsconas::util::Json::object();
       const std::string op =
@@ -342,10 +375,19 @@ class JsonDumpReporter : public benchmark::ConsoleReporter {
       // (bench_compare matches on (op, shape, dtype); absent means f32).
       rec["dtype"] = std::string(
           op.find("Int8") != std::string::npos ? "int8" : "f32");
-      rec["ns_per_iter"] = run.GetAdjustedRealTime();  // ns: the unit set below
+      const double real_ns = run.GetAdjustedRealTime();
+      rec["ns_per_iter"] = real_ns;  // ns: the unit set below
+      // google-benchmark divides rates by CPU time unless the row uses
+      // real time; rescale so every row's rate is per wall-clock second,
+      // like ns_per_iter.
       const auto items = run.counters.find("items_per_second");
-      rec["gflops"] =
-          items != run.counters.end() ? items->second.value / 1e9 : 0.0;
+      const double per_real =
+          uses_real_time || real_ns <= 0.0
+              ? 1.0
+              : run.GetAdjustedCPUTime() / real_ns;
+      rec["gflops"] = items != run.counters.end()
+                          ? items->second.value * per_real / 1e9
+                          : 0.0;
       records_.push_back(std::move(rec));
     }
     ConsoleReporter::ReportRuns(runs);

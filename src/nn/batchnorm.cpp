@@ -8,6 +8,98 @@ namespace hsconas::nn {
 
 using tensor::Tensor;
 
+namespace {
+
+/// Channels whose sums accumulate together. Each channel's sum is one
+/// serial chain of n·h·w double adds, so one channel at a time runs at add
+/// latency; eight independent chains cover it.
+constexpr long kBnChannelBlock = 8;
+
+/// Mean and variance of the B channels starting at `x` (sample 0), each
+/// chain in (sample, pixel) order.
+template <long B>
+void block_stats(const float* x, long n, long channels, long spatial,
+                 double* mean, double* var) {
+  const double count = static_cast<double>(n * spatial);
+  double m[B] = {};
+  for (long s = 0; s < n; ++s) {
+    const float* chan = x + s * channels * spatial;
+    for (long i = 0; i < spatial; ++i) {
+      for (long b = 0; b < B; ++b) m[b] += chan[b * spatial + i];
+    }
+  }
+  for (long b = 0; b < B; ++b) m[b] /= count;
+  double v[B] = {};
+  for (long s = 0; s < n; ++s) {
+    const float* chan = x + s * channels * spatial;
+    for (long i = 0; i < spatial; ++i) {
+      for (long b = 0; b < B; ++b) {
+        const double d = chan[b * spatial + i] - m[b];
+        v[b] += d * d;
+      }
+    }
+  }
+  for (long b = 0; b < B; ++b) {
+    mean[b] = m[b];
+    var[b] = v[b] / count;  // biased, as in standard BN forward
+  }
+}
+
+/// Σ dy and Σ dy·x̂ of the B channels starting at `dy` and `xhat`.
+template <long B>
+void block_grad_sums(const float* dy, const float* xhat, long n,
+                     long channels, long spatial, double* sum_dy,
+                     double* sum_dy_xhat) {
+  double sd[B] = {}, sdx[B] = {};
+  for (long s = 0; s < n; ++s) {
+    const float* grad = dy + s * channels * spatial;
+    const float* xh = xhat + s * channels * spatial;
+    for (long i = 0; i < spatial; ++i) {
+      for (long b = 0; b < B; ++b) {
+        const float g = grad[b * spatial + i];
+        sd[b] += g;
+        sdx[b] += static_cast<double>(g) * xh[b * spatial + i];
+      }
+    }
+  }
+  for (long b = 0; b < B; ++b) {
+    sum_dy[b] = sd[b];
+    sum_dy_xhat[b] = sdx[b];
+  }
+}
+
+/// Runs `block.template operator()<B>(c)` over the channels: whole
+/// blocks of kBnChannelBlock, then the tail one channel at a time.
+template <typename Fn>
+void for_channel_blocks(long channels, Fn&& block) {
+  long c = 0;
+  for (; c + kBnChannelBlock <= channels; c += kBnChannelBlock) {
+    block.template operator()<kBnChannelBlock>(c);
+  }
+  for (; c < channels; ++c) block.template operator()<1>(c);
+}
+
+}  // namespace
+
+namespace detail {
+
+void bn_batch_stats(const float* x, long n, long channels, long spatial,
+                    double* mean, double* var) {
+  for_channel_blocks(channels, [&]<long B>(long c) {
+    block_stats<B>(x + c * spatial, n, channels, spatial, mean + c, var + c);
+  });
+}
+
+void bn_grad_sums(const float* dy, const float* xhat, long n, long channels,
+                  long spatial, double* sum_dy, double* sum_dy_xhat) {
+  for_channel_blocks(channels, [&]<long B>(long c) {
+    block_grad_sums<B>(dy + c * spatial, xhat + c * spatial, n, channels,
+                       spatial, sum_dy + c, sum_dy_xhat + c);
+  });
+}
+
+}  // namespace detail
+
 BatchNorm2d::BatchNorm2d(long channels, double momentum, double eps,
                          std::string display_name)
     : channels_(channels),
@@ -39,7 +131,6 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   }
   const long n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const long spatial = h * w;
-  const double count = static_cast<double>(n * spatial);
 
   Tensor y(x.shape());
   cached_xhat_ = Tensor(x.shape());
@@ -47,23 +138,19 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   cached_n_ = n;
   cached_h_ = h;
   cached_w_ = w;
+  sums_.resize(static_cast<std::size_t>(2 * channels_));
+  double* batch_mean = sums_.data();
+  double* batch_var = batch_mean + channels_;
+  if (training_) {
+    detail::bn_batch_stats(x.data(), n, channels_, spatial, batch_mean,
+                           batch_var);
+  }
 
   for (long c = 0; c < channels_; ++c) {
     double mean = 0.0, var = 0.0;
     if (training_) {
-      for (long s = 0; s < n; ++s) {
-        const float* chan = x.data() + ((s * channels_ + c) * spatial);
-        for (long i = 0; i < spatial; ++i) mean += chan[i];
-      }
-      mean /= count;
-      for (long s = 0; s < n; ++s) {
-        const float* chan = x.data() + ((s * channels_ + c) * spatial);
-        for (long i = 0; i < spatial; ++i) {
-          const double d = chan[i] - mean;
-          var += d * d;
-        }
-      }
-      var /= count;  // biased, as in standard BN forward
+      mean = batch_mean[c];
+      var = batch_var[c];
       running_mean_.at(c) = static_cast<float>(
           (1.0 - momentum_) * running_mean_.at(c) + momentum_ * mean);
       running_var_.at(c) = static_cast<float>(
@@ -106,17 +193,13 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
                     "BatchNorm2d::backward: dy shape mismatch");
 
   Tensor dx(dy.shape());
+  sums_.resize(static_cast<std::size_t>(2 * channels_));
+  double* sums_dy = sums_.data();
+  double* sums_dy_xhat = sums_dy + channels_;
+  detail::bn_grad_sums(dy.data(), cached_xhat_.data(), n, channels_, spatial,
+                       sums_dy, sums_dy_xhat);
   for (long c = 0; c < channels_; ++c) {
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (long s = 0; s < n; ++s) {
-      const float* grad = dy.data() + ((s * channels_ + c) * spatial);
-      const float* xhat =
-          cached_xhat_.data() + ((s * channels_ + c) * spatial);
-      for (long i = 0; i < spatial; ++i) {
-        sum_dy += grad[i];
-        sum_dy_xhat += static_cast<double>(grad[i]) * xhat[i];
-      }
-    }
+    const double sum_dy = sums_dy[c], sum_dy_xhat = sums_dy_xhat[c];
     gamma_.grad.at(c) += static_cast<float>(sum_dy_xhat);
     beta_.grad.at(c) += static_cast<float>(sum_dy);
 

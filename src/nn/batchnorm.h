@@ -51,6 +51,26 @@ class BatchNorm2d : public Module {
   tensor::Tensor cached_xhat_;
   std::vector<float> cached_inv_std_;
   long cached_n_ = 0, cached_h_ = 0, cached_w_ = 0;
+  // Per-channel double sums of the current pass (2 × channels), kept so
+  // steady-state passes do not allocate.
+  std::vector<double> sums_;
 };
+
+namespace detail {
+
+/// Per-channel batch mean and biased variance of the NCHW batch `x`, in
+/// double. Each channel's mean, and then its variance, is one sum over
+/// (sample, pixel) in that order; blocks of channels accumulate side by
+/// side, so the chains overlap while every bit stays that of the
+/// one-channel-at-a-time loop.
+void bn_batch_stats(const float* x, long n, long channels, long spatial,
+                    double* mean, double* var);
+
+/// Per-channel Σ dy and Σ dy·x̂ over (sample, pixel) in that order, in
+/// double, blocked over channels the same way.
+void bn_grad_sums(const float* dy, const float* xhat, long n, long channels,
+                  long spatial, double* sum_dy, double* sum_dy_xhat);
+
+}  // namespace detail
 
 }  // namespace hsconas::nn

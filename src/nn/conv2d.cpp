@@ -60,16 +60,9 @@ struct DwGeom {
   long h, w, k, stride, pad, oh, ow;
 };
 
-/// Output columns the padded depthwise kernel accumulates together: one
-/// SSE vector at the `nn` library's baseline ISA.
+/// Output columns the padded int8 depthwise kernel accumulates together:
+/// one SSE vector at the `nn` library's baseline ISA.
 constexpr long kDwLanes = 4;
-
-/// Planes at least this wide take the padded row kernel; narrower ones
-/// spend more on padding and idle lanes than they save, so they take the
-/// scalar kernel (k=7, s=2 on a 6×6 input has ow == 3). Timed both ways
-/// at batch 36, the padded kernel is 1.1–1.3× faster at ow = 12 and the
-/// scalar one 1.1–1.7× faster at ow ≤ 6, bar k=3, s=1 (docs/PERFORMANCE.md).
-constexpr long kDwMinVectorWidth = 2 * kDwLanes;
 
 /// Row stride of one column phase of the padded plane: every lane of the
 /// last lane group plus the taps past it stay inside the row.
@@ -78,7 +71,7 @@ long dw_phase_width(const DwGeom& g) {
   return lanes + (g.k - 1) / g.stride;
 }
 
-/// Floats (or bytes) of the padded plane: `stride` column phases of
+/// Bytes of the padded int8 plane: `stride` column phases of
 /// (h + 2·pad) rows of dw_phase_width() each.
 std::size_t dw_padded_size(const DwGeom& g) {
   return static_cast<std::size_t>(g.stride * (g.h + 2 * g.pad) *
@@ -111,11 +104,8 @@ void dw_fill_phases(const DwGeom& g, const T* img, T* HSCONAS_RESTRICT buf) {
 /// row at a time. Every output sums all k×k taps in (ky, kx) order from a
 /// zero accumulator, and each lane group's loads are contiguous, so the
 /// lane loop compiles to vector code; `store(index, acc)` writes each
-/// finished accumulator. The fp32 path pads with 0: a padding tap adds
-/// w·0 = ±0 to an accumulator that starts at +0 and so can never be −0
-/// under round-to-nearest, which leaves every sum of finite weights bit
-/// for bit what skipping the tap gives. The int8 path pads with the input
-/// zero point, which the full-row weight sum already corrects for.
+/// finished accumulator. The int8 path pads with the input zero point,
+/// which the full-row weight sum already corrects for.
 template <typename Acc, typename W, typename T, typename Store>
 void dw_plane_padded(const DwGeom& g, const W* wk, const T* buf,
                      Store&& store) {
@@ -147,13 +137,44 @@ void dw_plane_padded(const DwGeom& g, const W* wk, const T* buf,
   }
 }
 
-/// Depthwise plane for narrow outputs, scalar: the in-range taps of each
-/// output form a [ky0, ky1) × [kx0, kx0 + taps) rectangle whose bounds
-/// are computed once per output, so the tap loops carry no branch. It
-/// adds exactly the in-range products in (ky, kx) order.
+/// (sample, channel) planes the fp32 depthwise kernel accumulates
+/// together: each output of one plane is a serial chain of up to k·k
+/// adds, so one plane at a time runs at add latency.
+constexpr long kDwPlanes = 8;
+
+/// Copy planes t0 … t0 + count − 1 of `x` (hw floats each; plane t is of
+/// channel t % channels, whose `taps` weights start at wk + (t % channels)
+/// · taps) into one interleaved block: pixel i of block plane p lands at
+/// img[i·kDwPlanes + p], tap j of its weights at wts[j·kDwPlanes + p].
+/// Block planes past `count` get zero pixels and weights; their sums are
+/// never stored.
+void dw_interleave(const float* x, const float* wk, long t0, long count,
+                   long channels, long hw, long taps,
+                   float* HSCONAS_RESTRICT img, float* HSCONAS_RESTRICT wts) {
+  for (long p = 0; p < count; ++p) {
+    const float* src = x + (t0 + p) * hw;
+    const float* w = wk + (t0 + p) % channels * taps;
+    for (long i = 0; i < hw; ++i) img[i * kDwPlanes + p] = src[i];
+    for (long j = 0; j < taps; ++j) wts[j * kDwPlanes + p] = w[j];
+  }
+  for (long p = count; p < kDwPlanes; ++p) {
+    for (long i = 0; i < hw; ++i) img[i * kDwPlanes + p] = 0.0f;
+    for (long j = 0; j < taps; ++j) wts[j * kDwPlanes + p] = 0.0f;
+  }
+}
+
+/// fp32 depthwise over a dw_interleave() block of planes: the in-range
+/// taps of each output form a [ky0, ky1) × [kx0, kx0 + taps) rectangle
+/// whose bounds are computed once per output for all kDwPlanes planes,
+/// so the tap loops carry no branch. Each plane keeps its own
+/// accumulator and adds exactly its in-range products in (ky, kx) order,
+/// as the one-plane loop did; the plane loop is contiguous, so it
+/// compiles to vector code whose lanes are those independent chains.
+/// `store(index, acc)` receives the kDwPlanes sums of each output.
 template <typename Store>
-void dw_plane_scalar(const DwGeom& g, const float* img, const float* wk,
-                     Store&& store) {
+void dw_planes(const DwGeom& g, const float* img, const float* wts,
+               Store&& store) {
+  constexpr long P = kDwPlanes;
   for (long oy = 0; oy < g.oh; ++oy) {
     const long iy0 = oy * g.stride - g.pad;
     const long ky0 = std::max(0L, -iy0);
@@ -162,11 +183,15 @@ void dw_plane_scalar(const DwGeom& g, const float* img, const float* wk,
       const long ix0 = ox * g.stride - g.pad;
       const long kx0 = std::max(0L, -ix0);
       const long taps = std::min(g.k, g.w - ix0) - kx0;
-      const float* irow = img + (iy0 + ky0) * g.w + ix0 + kx0;
-      const float* wrow = wk + ky0 * g.k + kx0;
-      float acc = 0.0f;
-      for (long ky = ky0; ky < ky1; ++ky, irow += g.w, wrow += g.k) {
-        for (long kx = 0; kx < taps; ++kx) acc += wrow[kx] * irow[kx];
+      const float* irow = img + ((iy0 + ky0) * g.w + ix0 + kx0) * P;
+      const float* wrow = wts + (ky0 * g.k + kx0) * P;
+      float acc[P] = {};
+      for (long ky = ky0; ky < ky1; ++ky, irow += g.w * P, wrow += g.k * P) {
+        for (long kx = 0; kx < taps; ++kx) {
+          for (long p = 0; p < P; ++p) {
+            acc[p] += wrow[kx * P + p] * irow[kx * P + p];
+          }
+        }
       }
       store(oy * g.ow + ox, acc);
     }
@@ -268,39 +293,42 @@ Tensor Conv2d::forward_impl(const Tensor& x, const tensor::GemmEpilogue* ep) {
 
   if (cin_g == 1 && cout_g == 1) {
     // Depthwise: skip im2col + per-group m==1 GEMMs entirely and compute
-    // each (sample, channel) plane directly, in parallel — planes are
-    // disjoint, the (ky, kx) accumulation order is fixed, and the fused
-    // epilogue lands on the accumulator while it is still in a register.
-    // The plane width picks the kernel; for finite weights both give the
-    // bits of the tap-skipping loop. The padded kernel also multiplies
-    // padding taps, so a NaN or inf weight turns the border NaN as well.
+    // the (sample, channel) planes directly, kDwPlanes per task, in
+    // parallel — blocks are disjoint, the (ky, kx) accumulation order is
+    // fixed, and the fused epilogue lands on each accumulator while it is
+    // still in a register. Every output adds exactly its in-range taps,
+    // so it has the bits of the tap-skipping loop for any weights.
     const DwGeom g{h, w, kernel_, stride_, pad_, oh, ow};
-    const bool padded = ow >= kDwMinVectorWidth;
-    pool.parallel_for(static_cast<std::size_t>(n * out_channels_),
-                      [&](std::size_t t) {
-      const long s = static_cast<long>(t) / out_channels_;
-      const long c = static_cast<long>(t) % out_channels_;
-      const float* img = x.data() + ((s * in_channels_ + c) * h * w);
-      const float* wk = weight_.value.data() + c * kernel_ * kernel_;
-      float* out = y.data() + ((s * out_channels_ + c) * ohw);
-      const float es = (ep != nullptr && ep->scale != nullptr)
-                           ? ep->scale[c] : 1.0f;
-      const float et = (ep != nullptr && ep->shift != nullptr)
-                           ? ep->shift[c] : 0.0f;
-      auto store = [&](long i, float acc) {
-        out[i] = ep != nullptr
-                     ? tensor::epilogue_apply(
-                           ep->act, tensor::epilogue_affine(es, acc, et))
-                     : acc;
-      };
-      if (!padded) {
-        dw_plane_scalar(g, img, wk, store);
-        return;
+    const long planes = n * out_channels_;
+    const long taps = kernel_ * kernel_;
+    pool.parallel_for(
+        static_cast<std::size_t>((planes + kDwPlanes - 1) / kDwPlanes),
+        [&](std::size_t b) {
+      const long t0 = static_cast<long>(b) * kDwPlanes;
+      const long count = std::min(kDwPlanes, planes - t0);
+      tensor::Scratch buf = tensor::Workspace::tls().take(
+          static_cast<std::size_t>((h * w + taps) * kDwPlanes));
+      float* img = buf.data();
+      float* wts = img + h * w * kDwPlanes;
+      dw_interleave(x.data(), weight_.value.data(), t0, count, out_channels_,
+                    h * w, taps, img, wts);
+      float* out[kDwPlanes] = {};
+      float es[kDwPlanes] = {}, et[kDwPlanes] = {};
+      for (long p = 0; p < count; ++p) {
+        const long c = (t0 + p) % out_channels_;
+        out[p] = y.data() + (t0 + p) * ohw;
+        es[p] = ep != nullptr && ep->scale != nullptr ? ep->scale[c] : 1.0f;
+        et[p] = ep != nullptr && ep->shift != nullptr ? ep->shift[c] : 0.0f;
       }
-      tensor::Scratch buf = tensor::Workspace::tls().take_zeroed(
-          dw_padded_size(g));
-      dw_fill_phases(g, img, buf.data());
-      dw_plane_padded<float>(g, wk, buf.data(), store);
+      dw_planes(g, img, wts, [&](long i, const float* acc) {
+        for (long p = 0; p < count; ++p) {
+          out[p][i] = ep != nullptr
+                          ? tensor::epilogue_apply(
+                                ep->act,
+                                tensor::epilogue_affine(es[p], acc[p], et[p]))
+                          : acc[p];
+        }
+      });
     });
     return y;
   }

@@ -18,7 +18,10 @@ long Module::param_count() {
 }
 
 tensor::Tensor Sequential::forward(const tensor::Tensor& x) {
-  tensor::Tensor h = x;
+  // The first child reads the caller's input in place; `in` then follows
+  // each child's output.
+  tensor::Tensor h;
+  const tensor::Tensor* in = &x;
   const bool fuse = !training_ && inference_fusion_enabled();
   for (std::size_t i = 0; i < children_.size(); ++i) {
     // Eval-mode peephole (opt-in via set_inference_fusion): a
@@ -43,13 +46,16 @@ tensor::Tensor Sequential::forward(const tensor::Tensor& x) {
             consumed = 3;
           }
         }
-        h = fused_conv_bn_act(*conv, *bn, act, h);
+        h = fused_conv_bn_act(*conv, *bn, act, *in);
+        in = &h;
         i += consumed - 1;
         continue;
       }
     }
-    h = children_[i]->forward(h);
+    h = children_[i]->forward(*in);
+    in = &h;
   }
+  if (in == &x) return x;
   return h;
 }
 

@@ -33,6 +33,24 @@ obs::OpInfo gap_op_info(const char* op, std::span<const long> shape) {
   return info;
 }
 
+/// Planes whose averages accumulate together. Each plane's sum is one
+/// serial chain of h·w double adds; eight independent chains keep the
+/// adder busy instead of waiting on the previous add.
+constexpr long kGapPlanes = 8;
+
+/// Averages of the B consecutive planes starting at `x` into `y`, each
+/// plane summed in pixel order.
+template <long B>
+void gap_planes(const float* x, long spatial, float* y) {
+  double acc[B] = {};
+  for (long i = 0; i < spatial; ++i) {
+    for (long p = 0; p < B; ++p) acc[p] += x[p * spatial + i];
+  }
+  for (long p = 0; p < B; ++p) {
+    y[p] = static_cast<float>(acc[p] / static_cast<double>(spatial));
+  }
+}
+
 }  // namespace
 
 // Pooling parallelizes over (sample, channel) planes: every plane reads
@@ -48,14 +66,21 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
   cached_shape_ = x.shape();
   const long n = x.dim(0), c = x.dim(1), spatial = x.dim(2) * x.dim(3);
   Tensor y({n, c});
+  // kGapPlanes planes per task; the last task takes the tail one plane at
+  // a time. Planes of NCHW are consecutive, as are their (N, C) outputs.
+  const long planes = n * c;
   util::ThreadPool::global().parallel_for(
-      static_cast<std::size_t>(n * c), [&](std::size_t t) {
-        const long s = static_cast<long>(t) / c;
-        const long ch = static_cast<long>(t) % c;
-        const float* chan = x.data() + ((s * c + ch) * spatial);
-        double acc = 0.0;
-        for (long i = 0; i < spatial; ++i) acc += chan[i];
-        y.at(s, ch) = static_cast<float>(acc / static_cast<double>(spatial));
+      static_cast<std::size_t>((planes + kGapPlanes - 1) / kGapPlanes),
+      [&](std::size_t b) {
+        const long t0 = static_cast<long>(b) * kGapPlanes;
+        if (t0 + kGapPlanes <= planes) {
+          gap_planes<kGapPlanes>(x.data() + t0 * spatial, spatial,
+                                 y.data() + t0);
+          return;
+        }
+        for (long t = t0; t < planes; ++t) {
+          gap_planes<1>(x.data() + t * spatial, spatial, y.data() + t);
+        }
       });
   return y;
 }

@@ -4,7 +4,8 @@
 // module pipeline across strides, padding, groups, depthwise and both
 // activations — including the case where the fold is arithmetically
 // exact (gamma == 1, running_mean == 0, no conv bias: tolerance 0) —
-// plus the Sequential eval-mode peephole and thread-count determinism.
+// plus the Sequential eval-mode peephole and thread-count determinism
+// (of the fused conv, the depthwise forward and global average pooling).
 
 #include "nn/fused_conv.h"
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "nn/activation.h"
+#include "nn/pooling.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -144,6 +146,34 @@ TEST(FusedConv, BitIdenticalAcrossThreadCounts) {
                              static_cast<std::size_t>(base.numel()) *
                                  sizeof(float)))
         << "thread count " << threads;
+  }
+  util::ThreadPool::configure_global(prev);
+}
+
+TEST(FusedConv, DepthwiseAndPoolBitIdenticalAcrossThreadCounts) {
+  // The depthwise forward and global average pooling hand blocks of eight
+  // planes to the pool; 3 × 13 = 39 planes leave a partial last block.
+  util::Rng rng(401);
+  Conv2d dw(13, 13, 3, 1, 1, 13, /*bias=*/true, rng);
+  const Tensor x = Tensor::uniform({3, 13, 6, 6}, -1, 1, rng);
+  GlobalAvgPool gap;
+
+  const std::size_t prev = util::ThreadPool::global().size();
+  util::ThreadPool::configure_global(1);
+  const Tensor base_dw = dw.forward(x);
+  const Tensor base_gap = gap.forward(x);
+  for (const std::size_t threads : {2u, 8u}) {
+    util::ThreadPool::configure_global(threads);
+    const Tensor y = dw.forward(x);
+    const Tensor p = gap.forward(x);
+    ASSERT_EQ(0, std::memcmp(base_dw.data(), y.data(),
+                             static_cast<std::size_t>(y.numel()) *
+                                 sizeof(float)))
+        << "depthwise, thread count " << threads;
+    ASSERT_EQ(0, std::memcmp(base_gap.data(), p.data(),
+                             static_cast<std::size_t>(p.numel()) *
+                                 sizeof(float)))
+        << "gap, thread count " << threads;
   }
   util::ThreadPool::configure_global(prev);
 }

@@ -3,14 +3,20 @@
 // within a tolerance; these tests compare memcmp-exact, because the
 // search ranks candidates by scores that must not move by one bit when
 // a kernel gets faster:
-//  - depthwise conv (padded row kernel and scalar kernel) against the
-//    tap-skipping loop, with plain, bias and fused BN+act epilogues, and
-//    where the padded kernel departs from it on a NaN weight;
+//  - depthwise conv (eight planes at a time, interleaved) against the
+//    tap-skipping loop, with plain, bias and fused BN+act epilogues, at
+//    every output width 1–16, with plane counts that leave a partial
+//    block, and with a NaN weight;
 //  - the direct 1×1 conv against the sample-batched im2col + GEMM
 //    product it bypasses, and against a per-sample tensor::im2col +
 //    tensor::gemm, with and without the fused epilogue;
 //  - ReLU output and mask, and h-swish forward and backward, on signed
-//    zeros, NaN, infinities, denormals and the h-swish knees.
+//    zeros, NaN, infinities, denormals and the h-swish knees;
+//  - BatchNorm batch statistics, running statistics, output and
+//    backward, and global average pooling, against their one-channel
+//    (one-plane) serial sums. Their inputs hold large ±pairs that cancel
+//    within a channel, so the sums are not exact and any change in the
+//    order of their adds shows in the bits.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +27,9 @@
 #include <vector>
 
 #include "nn/activation.h"
+#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
+#include "nn/pooling.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "util/rng.h"
@@ -128,12 +136,11 @@ TEST(DepthwiseParity, SmallStrideTwoPlaneWithK7) {
   EXPECT_TRUE(bit_equal(conv.forward(x), want));
 }
 
-TEST(DepthwiseParity, NonFiniteWeightReachesPaddedBorderOnlyInWideOutputs) {
-  // Parity with the tap-skipping loop holds for finite weights. The
-  // padded kernel (ow ≥ 8) multiplies padding taps by 0, so a NaN weight
-  // at tap (0, 0) also turns the top row and left column NaN, which the
-  // loop left finite. The scalar kernel (ow < 8) adds only in-range taps
-  // and keeps those outputs finite and bit-identical.
+TEST(DepthwiseParity, NonFiniteWeightStaysInsideItsWindows) {
+  // Every output adds only its in-range taps, so a NaN weight at tap
+  // (0, 0) reaches exactly the outputs whose window has that tap inside
+  // the plane, as in the tap-skipping loop: the top row and the left
+  // column stay finite, at any plane width.
   for (long hw : {12L, 6L}) {
     util::Rng rng(static_cast<std::uint64_t>(71 + hw));
     Conv2d conv(2, 2, 3, 1, 1, 2, /*bias=*/false, rng);
@@ -143,32 +150,54 @@ TEST(DepthwiseParity, NonFiniteWeightReachesPaddedBorderOnlyInWideOutputs) {
                                             nullptr, nullptr,
                                             EpilogueAct::kNone, false);
     const Tensor got = conv.forward(x);
-    // Channel 1 has only finite weights.
-    for (long i = hw * hw; i < 2 * hw * hw; ++i) {
-      EXPECT_EQ(std::memcmp(&got.data()[i], &want.data()[i], sizeof(float)),
-                0)
-          << "in=" << hw << " i=" << i;
-    }
-    long border = 0;
+    EXPECT_TRUE(bit_equal(got, want)) << "in=" << hw;
     for (long oy = 0; oy < hw; ++oy) {
       for (long ox = 0; ox < hw; ++ox) {
-        const float g = got.data()[oy * hw + ox];
-        const float r = want.data()[oy * hw + ox];
-        const bool tap_in_padding = oy == 0 || ox == 0;
-        const std::string where = "in=" + std::to_string(hw) + " at " +
-                                  std::to_string(oy) + "," +
-                                  std::to_string(ox);
-        border += tap_in_padding ? 1 : 0;
-        EXPECT_EQ(std::isnan(r), !tap_in_padding) << where;
-        if (tap_in_padding && hw < 8) {
-          EXPECT_EQ(std::memcmp(&g, &r, sizeof(float)), 0) << where;
-        } else {
-          EXPECT_TRUE(std::isnan(g)) << where;
-        }
+        EXPECT_EQ(std::isnan(got.data()[oy * hw + ox]), oy > 0 && ox > 0)
+            << "in=" << hw << " at " << oy << "," << ox;
       }
     }
-    EXPECT_EQ(border, 2 * hw - 1);
   }
+}
+
+TEST(DepthwiseParity, NarrowOutputsWithPartialPlaneBlocks) {
+  // Output widths 1–7 (the proxy's 6×6 and 3×3 stages and below) over
+  // 3 × 13 = 39 planes: four whole blocks of eight and a tail of seven,
+  // whose blocks mix channels of two samples. Plain and fused epilogues.
+  int checked = 0;
+  for (long k : {3L, 5L, 7L}) {
+    for (long stride : {1L, 2L}) {
+      for (long ow = 1; ow <= 7; ++ow) {
+        const long pad = k / 2;
+        const long hw = (ow - 1) * stride + k - 2 * pad;
+        util::Rng rng(static_cast<std::uint64_t>(500 * k + 50 * stride + ow));
+        const long ch = 13;
+        Conv2d conv(ch, ch, k, stride, pad, ch, /*bias=*/false, rng);
+        const Tensor x = signed_zero_input({3, ch, hw, hw}, rng);
+        const std::string where = "k=" + std::to_string(k) +
+                                  " s=" + std::to_string(stride) +
+                                  " ow=" + std::to_string(ow);
+        Tensor got = conv.forward(x);
+        ASSERT_EQ(got.dim(3), ow) << where;
+        EXPECT_TRUE(bit_equal(
+            got, depthwise_reference(x, conv.weight().value, stride, pad,
+                                     nullptr, nullptr, EpilogueAct::kNone,
+                                     false)))
+            << where;
+        const Tensor scale = Tensor::uniform({ch}, 0.5f, 1.5f, rng);
+        const Tensor shift = Tensor::uniform({ch}, -0.3f, 0.3f, rng);
+        got = conv.forward_fused(x, scale.data(), shift.data(),
+                                 EpilogueAct::kHSwish);
+        EXPECT_TRUE(bit_equal(
+            got, depthwise_reference(x, conv.weight().value, stride, pad,
+                                     scale.data(), shift.data(),
+                                     EpilogueAct::kHSwish, true)))
+            << where << " fused";
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 3 * 2 * 7);
 }
 
 TEST(DepthwiseParity, NonSquareUnpaddedAndEpilogues) {
@@ -377,6 +406,225 @@ TEST(ActivationParity, HSwishBackwardMatchesPiecewiseDerivative) {
     const float want = dy.data()[i] * d;
     EXPECT_EQ(0, std::memcmp(&dx.data()[i], &want, sizeof(float)))
         << "hswish'(" << v[i] << ")";
+  }
+}
+
+/// NCHW input whose every channel, over all its (sample, pixel) values,
+/// holds pairs +B, −B with B up to 2^40 at random places among values in
+/// [−1, 1). The large terms cancel, but each add rounds away part of the
+/// small ones beside them, so a sum's bits depend on the order of its
+/// adds.
+Tensor cancelling_input(long n, long c, long spatial, util::Rng& rng) {
+  Tensor x = Tensor::uniform({n, c, spatial, 1}, -1.0f, 1.0f, rng);
+  std::vector<long> at(static_cast<std::size_t>(n * spatial));
+  for (long ch = 0; ch < c; ++ch) {
+    for (long s = 0; s < n; ++s) {
+      for (long i = 0; i < spatial; ++i) {
+        at[static_cast<std::size_t>(s * spatial + i)] =
+            (s * c + ch) * spatial + i;
+      }
+    }
+    for (std::size_t i = at.size(); i > 1; --i) {
+      std::swap(at[i - 1], at[rng.index(i)]);
+    }
+    for (std::size_t i = 0; i + 1 < at.size() / 2; i += 2) {
+      const float big = static_cast<float>(
+          std::ldexp(1.0 + rng.uniform(), static_cast<int>(rng.randint(8, 40))));
+      x.data()[at[i]] = big;
+      x.data()[at[i + 1]] = -big;
+    }
+  }
+  return x;
+}
+
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The BatchNorm2d loops the blocked sums replace: one channel at a time,
+/// each sum one chain over (sample, pixel).
+struct BnReference {
+  long c;
+  double momentum = 0.1, eps = 1e-5;
+  std::vector<float> gamma, beta, running_mean, running_var, inv_std;
+  std::vector<double> mean, var, sum_dy, sum_dy_xhat;
+  std::vector<float> gamma_grad, beta_grad;
+  Tensor xhat;
+
+  explicit BnReference(BatchNorm2d& bn)
+      : c(bn.channels()),
+        gamma(bn_values(bn.gamma().value)),
+        beta(bn_values(bn.beta().value)),
+        running_mean(bn_values(bn.running_mean())),
+        running_var(bn_values(bn.running_var())),
+        inv_std(static_cast<std::size_t>(c)),
+        mean(static_cast<std::size_t>(c)),
+        var(static_cast<std::size_t>(c)),
+        sum_dy(static_cast<std::size_t>(c)),
+        sum_dy_xhat(static_cast<std::size_t>(c)),
+        gamma_grad(static_cast<std::size_t>(c)),
+        beta_grad(static_cast<std::size_t>(c)) {}
+
+  static std::vector<float> bn_values(const Tensor& t) {
+    return std::vector<float>(t.data(), t.data() + t.numel());
+  }
+
+  Tensor forward(const Tensor& x) {
+    const long n = x.dim(0), spatial = x.dim(2) * x.dim(3);
+    const double count = static_cast<double>(n * spatial);
+    Tensor y(x.shape());
+    xhat = Tensor(x.shape());
+    for (long ch = 0; ch < c; ++ch) {
+      const auto k = static_cast<std::size_t>(ch);
+      double m = 0.0, v = 0.0;
+      for (long s = 0; s < n; ++s) {
+        const float* chan = x.data() + (s * c + ch) * spatial;
+        for (long i = 0; i < spatial; ++i) m += chan[i];
+      }
+      m /= count;
+      for (long s = 0; s < n; ++s) {
+        const float* chan = x.data() + (s * c + ch) * spatial;
+        for (long i = 0; i < spatial; ++i) {
+          const double d = chan[i] - m;
+          v += d * d;
+        }
+      }
+      v /= count;
+      mean[k] = m;
+      var[k] = v;
+      running_mean[k] = static_cast<float>((1.0 - momentum) * running_mean[k] +
+                                           momentum * m);
+      running_var[k] = static_cast<float>((1.0 - momentum) * running_var[k] +
+                                          momentum * v);
+      inv_std[k] = static_cast<float>(1.0 / std::sqrt(v + eps));
+      const float fm = static_cast<float>(m);
+      for (long s = 0; s < n; ++s) {
+        const long off = (s * c + ch) * spatial;
+        for (long i = 0; i < spatial; ++i) {
+          const float xh = (x.data()[off + i] - fm) * inv_std[k];
+          xhat.data()[off + i] = xh;
+          y.data()[off + i] = gamma[k] * xh + beta[k];
+        }
+      }
+    }
+    return y;
+  }
+
+  Tensor backward(const Tensor& dy) {
+    const long n = dy.dim(0), spatial = dy.dim(2) * dy.dim(3);
+    const double count = static_cast<double>(n * spatial);
+    Tensor dx(dy.shape());
+    for (long ch = 0; ch < c; ++ch) {
+      const auto k = static_cast<std::size_t>(ch);
+      double sd = 0.0, sdx = 0.0;
+      for (long s = 0; s < n; ++s) {
+        const long off = (s * c + ch) * spatial;
+        for (long i = 0; i < spatial; ++i) {
+          sd += dy.data()[off + i];
+          sdx += static_cast<double>(dy.data()[off + i]) * xhat.data()[off + i];
+        }
+      }
+      sum_dy[k] = sd;
+      sum_dy_xhat[k] = sdx;
+      gamma_grad[k] += static_cast<float>(sdx);
+      beta_grad[k] += static_cast<float>(sd);
+      const float mean_dy = static_cast<float>(sd / count);
+      const float mean_dy_xhat = static_cast<float>(sdx / count);
+      for (long s = 0; s < n; ++s) {
+        const long off = (s * c + ch) * spatial;
+        for (long i = 0; i < spatial; ++i) {
+          dx.data()[off + i] =
+              gamma[k] * inv_std[k] *
+              (dy.data()[off + i] - mean_dy - xhat.data()[off + i] * mean_dy_xhat);
+        }
+      }
+    }
+    return dx;
+  }
+};
+
+TEST(BatchNormParity, BlockedSumsBitIdenticalToPerChannelChains) {
+  int checked = 0;
+  for (long c : {1L, 3L, 8L, 13L, 128L}) {
+    for (long spatial : {1L, 9L, 144L}) {
+      util::Rng rng(static_cast<std::uint64_t>(1000 * c + spatial));
+      const long n = 3;
+      const std::string where =
+          "c=" + std::to_string(c) + " spatial=" + std::to_string(spatial);
+      BatchNorm2d bn(c);
+      bn.gamma().value = Tensor::uniform({c}, 0.5f, 1.5f, rng);
+      bn.beta().value = Tensor::uniform({c}, -0.5f, 0.5f, rng);
+      BnReference ref(bn);
+
+      // Two training steps, so the running statistics update twice.
+      for (int step = 0; step < 2; ++step) {
+        const Tensor x = cancelling_input(n, c, spatial, rng);
+        const Tensor y = bn.forward(x);
+        EXPECT_TRUE(bit_equal(y, ref.forward(x))) << where << " forward";
+        std::vector<double> mean(static_cast<std::size_t>(c));
+        std::vector<double> var(static_cast<std::size_t>(c));
+        detail::bn_batch_stats(x.data(), n, c, spatial, mean.data(),
+                               var.data());
+        EXPECT_TRUE(bits_equal(mean, ref.mean)) << where << " mean";
+        EXPECT_TRUE(bits_equal(var, ref.var)) << where << " var";
+        EXPECT_EQ(0, std::memcmp(bn.running_mean().data(),
+                                 ref.running_mean.data(),
+                                 ref.running_mean.size() * sizeof(float)))
+            << where << " running mean";
+        EXPECT_EQ(0, std::memcmp(bn.running_var().data(),
+                                 ref.running_var.data(),
+                                 ref.running_var.size() * sizeof(float)))
+            << where << " running var";
+
+        const Tensor dy = cancelling_input(n, c, spatial, rng);
+        EXPECT_TRUE(bit_equal(bn.backward(dy), ref.backward(dy)))
+            << where << " backward";
+        std::vector<double> sum_dy(static_cast<std::size_t>(c));
+        std::vector<double> sum_dy_xhat(static_cast<std::size_t>(c));
+        detail::bn_grad_sums(dy.data(), ref.xhat.data(), n, c, spatial,
+                             sum_dy.data(), sum_dy_xhat.data());
+        EXPECT_TRUE(bits_equal(sum_dy, ref.sum_dy)) << where << " sum dy";
+        EXPECT_TRUE(bits_equal(sum_dy_xhat, ref.sum_dy_xhat))
+            << where << " sum dy*xhat";
+        EXPECT_EQ(0, std::memcmp(bn.gamma().grad.data(),
+                                 ref.gamma_grad.data(),
+                                 ref.gamma_grad.size() * sizeof(float)))
+            << where << " gamma grad";
+        EXPECT_EQ(0, std::memcmp(bn.beta().grad.data(), ref.beta_grad.data(),
+                                 ref.beta_grad.size() * sizeof(float)))
+            << where << " beta grad";
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 5 * 3);
+}
+
+TEST(GapParity, BlockedPlanesBitIdenticalToPerPlaneChains) {
+  // n·c = 1, 3, 8, 39 and 4608 (the proxy head, 36 × 128): whole blocks
+  // of eight planes, a tail, and tails alone.
+  struct Case {
+    long n, c, spatial;
+  };
+  const Case cases[] = {{1, 1, 9},  {1, 3, 144}, {2, 4, 9},
+                        {3, 13, 9}, {3, 13, 1},  {36, 128, 9}};
+  for (const Case& k : cases) {
+    util::Rng rng(
+        static_cast<std::uint64_t>(k.n * 1000 + k.c * 10 + k.spatial));
+    // Cancelling pairs within each plane: one "channel" per plane.
+    const Tensor x = cancelling_input(1, k.n * k.c, k.spatial, rng)
+                         .reshaped({k.n, k.c, k.spatial, 1});
+    Tensor want({k.n, k.c});
+    for (long t = 0; t < k.n * k.c; ++t) {
+      double acc = 0.0;
+      for (long i = 0; i < k.spatial; ++i) acc += x.data()[t * k.spatial + i];
+      want.data()[t] =
+          static_cast<float>(acc / static_cast<double>(k.spatial));
+    }
+    GlobalAvgPool gap;
+    EXPECT_TRUE(bit_equal(gap.forward(x), want))
+        << "n=" << k.n << " c=" << k.c << " spatial=" << k.spatial;
   }
 }
 

@@ -9,25 +9,27 @@
 #      -Werror) and run the full ctest suite.
 #   2. bench_compare self-diff smoke: the checked-in BENCH_kernels.json
 #      ledger diffed against itself must report zero regressions.
-#   3. hsconas_lint over the tree against the checked-in baseline.
-#   4. layering gate: the src/ include graph checked against
+#   3. bench_kernels proxy-row smoke: every BM_Proxy row runs once at a
+#      minimal min-time on a one-worker pool and must not crash.
+#   4. hsconas_lint over the tree against the checked-in baseline.
+#   5. layering gate: the src/ include graph checked against
 #      tools/lint/layers.txt (forbidden edges, cycles, unmapped files).
-#   5. fuzz smoke: when the toolchain links -fsanitize=fuzzer (clang),
+#   6. fuzz smoke: when the toolchain links -fsanitize=fuzzer (clang),
 #      each libFuzzer harness runs coverage-guided for ~30s over its
 #      corpus; otherwise the always-built replay drivers re-run the
 #      checked-in corpora once (the live path on gcc-only hosts).
-#   6. clang-tidy over src/ and tools/ (skipped when not installed).
-#   7. ASan+UBSan build + full ctest, then explicit `ctest -L quant` and
+#   7. clang-tidy over src/ and tools/ (skipped when not installed).
+#   8. ASan+UBSan build + full ctest, then explicit `ctest -L quant` and
 #      `ctest -L search` re-runs: the int8 GEMM, PTQ calibration, and
 #      quantized-search suites exercise every integer accumulation/
 #      requantize path under the overflow checkers, and the prefix-shared
 #      scoring suite holds activations across candidates (skipped with
 #      --fast).
-#   8. TSan build + full ctest, then explicit `ctest -L kernels`,
+#   9. TSan build + full ctest, then explicit `ctest -L kernels`,
 #      `ctest -L obs`, and `ctest -L serving` re-runs (GEMM/fused-conv
 #      determinism, tracer/profiler, and batch-serving suites) under TSan
 #      (skipped with --fast).
-#   9. bench_serving closed-loop smoke: a reduced load-generation run
+#  10. bench_serving closed-loop smoke: a reduced load-generation run
 #      through the batch server must finish error-free (skipped with
 #      --fast).
 #
@@ -57,6 +59,12 @@ stage "bench_compare self-diff smoke"
 # path and must come out clean; a real old-vs-new diff is a release step.
 "$root/ci-build-warn/tools/bench_compare" \
   "$root/BENCH_kernels.json" "$root/BENCH_kernels.json"
+
+stage "bench_kernels proxy-row smoke"
+# The proxy search's leaf-op rows at its shapes, one worker as the search
+# runs them; timings are not checked, a crash or throw fails the gate.
+"$root/ci-build-warn/bench/bench_kernels" --threads 1 \
+  --benchmark_filter=Proxy --benchmark_min_time=0.001
 
 stage "hsconas_lint invariant check"
 "$root/ci-build-warn/tools/hsconas_lint" --root "$root" \
