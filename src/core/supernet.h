@@ -58,10 +58,10 @@ class Supernet {
   /// Post-training int8 calibration of a *standalone* network: stream
   /// `batches` through the fixed arch in fp32 eval mode with the quant
   /// observers armed, then freeze per-layer activation/weight quantizers
-  /// (nn::calibrate protocol). Afterwards eval-mode forwards route through
-  /// the int8 GEMM whenever nn::inference_dtype() is kI8. Returns the
-  /// number of layers frozen; throws Error on a supernet (shared blocks
-  /// would calibrate one path's observers against another path's traffic).
+  /// (nn::calibrate protocol). Afterwards this network's eval-mode
+  /// forwards route through the int8 GEMM. Returns the number of layers
+  /// frozen; throws Error on a supernet (shared blocks would calibrate one
+  /// path's observers against another path's traffic).
   std::size_t calibrate_quant(const std::vector<tensor::Tensor>& batches);
 
   /// Top-1 accuracy of every arch in `archs` on (a prefix of) the

@@ -134,9 +134,6 @@ ProfileReport run_profile(const ProfileConfig& config) {
   core::LatencyModel model(space, device, model_cfg);
 
   util::Rng rng(config.seed);
-  const bool fusion_was_on = nn::inference_fusion_enabled();
-  const nn::InferenceDType dtype_was = nn::inference_dtype();
-  nn::set_inference_fusion(config.fused);
   obs::Profiler::disable();
 
   std::unordered_map<std::string, obs::OpStats> pooled;
@@ -149,6 +146,7 @@ ProfileReport run_profile(const ProfileConfig& config) {
       core::Supernet net(space, config.seed + static_cast<std::uint64_t>(a),
                          ap.arch);
       net.set_training(config.backward);
+      net.visit(nn::fusion_setter(config.fused));
 
       Tensor images = Tensor::uniform(
           {config.batch, config.space.input_channels, config.space.input_size,
@@ -161,7 +159,6 @@ ProfileReport run_profile(const ProfileConfig& config) {
         // PTQ against the very batch being profiled: the observers see
         // exactly the activation ranges the timed loop will produce.
         net.calibrate_quant({images});
-        nn::set_inference_dtype(nn::InferenceDType::kI8);
       }
 
       auto run_iteration = [&] {
@@ -200,12 +197,8 @@ ProfileReport run_profile(const ProfileConfig& config) {
     }
   } catch (...) {
     obs::Profiler::disable();
-    nn::set_inference_dtype(dtype_was);
-    nn::set_inference_fusion(fusion_was_on);
     throw;
   }
-  nn::set_inference_dtype(dtype_was);
-  nn::set_inference_fusion(fusion_was_on);
 
   std::vector<obs::OpStats> pooled_vec;
   pooled_vec.reserve(pooled.size());

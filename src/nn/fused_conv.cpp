@@ -1,6 +1,5 @@
 #include "nn/fused_conv.h"
 
-#include <atomic>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -8,16 +7,10 @@
 
 namespace hsconas::nn {
 
-namespace {
-std::atomic<bool> g_inference_fusion{false};
-}  // namespace
-
-void set_inference_fusion(bool on) {
-  g_inference_fusion.store(on, std::memory_order_relaxed);
-}
-
-bool inference_fusion_enabled() {
-  return g_inference_fusion.load(std::memory_order_relaxed);
+std::function<void(Module&)> fusion_setter(bool on) {
+  return [on](Module& m) {
+    if (auto* seq = dynamic_cast<Sequential*>(&m)) seq->set_fusion(on);
+  };
 }
 
 tensor::Tensor fused_conv_bn_act(Conv2d& conv, BatchNorm2d& bn,

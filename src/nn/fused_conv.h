@@ -1,19 +1,20 @@
 #pragma once
 
+#include <functional>
+
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "tensor/gemm.h"
 
 namespace hsconas::nn {
 
-/// Process-wide opt-in switch for inference-time conv→bn→act epilogue
-/// fusion. Default off: training and every existing eval path are
-/// bit-for-bit untouched unless a caller (bench, lowering consumer,
-/// serving harness) explicitly enables fusion. When on, Sequential's
-/// eval-mode forward peepholes Conv2d → BatchNorm2d [→ ReLU | HSwish]
-/// runs into a single fused_conv_bn_act call.
-void set_inference_fusion(bool on);
-bool inference_fusion_enabled();
+/// Visitor that turns the eval-mode conv→bn→act epilogue fusion on or off
+/// in every Sequential it reaches (see Sequential::set_fusion); apply it
+/// to a whole network with `net.visit(nn::fusion_setter(true))`. Fusion
+/// is off by default, so training and every other eval path are
+/// bit-for-bit untouched unless a caller (bench, serving harness,
+/// profiler) opts its own network in.
+std::function<void(Module&)> fusion_setter(bool on);
 
 /// One-pass y = act(bn(conv(x))) with eval-mode (running-statistic) BN:
 /// folds the conv bias and BN into a per-channel affine

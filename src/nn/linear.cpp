@@ -60,10 +60,10 @@ Tensor Linear::forward(const Tensor& x) {
                           x.shape_str());
   }
   if (!training_) {
-    if (calibration_mode()) {
+    if (quant_.observing) {
       quant_.observer.observe(x.data(), static_cast<std::size_t>(x.numel()));
     }
-    if (inference_dtype() == InferenceDType::kI8 && quant_.ready &&
+    if (quant_.ready &&
         static_cast<std::size_t>(in_features_) <= tensor::kGemmI8MaxK) {
       return forward_quant(x);
     }

@@ -22,9 +22,9 @@ tensor::Tensor Sequential::forward(const tensor::Tensor& x) {
   // each child's output.
   tensor::Tensor h;
   const tensor::Tensor* in = &x;
-  const bool fuse = !training_ && inference_fusion_enabled();
+  const bool fuse = !training_ && fuse_;
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    // Eval-mode peephole (opt-in via set_inference_fusion): a
+    // Eval-mode peephole (opt-in via set_fusion): a
     // Conv2d → BatchNorm2d [→ ReLU | HSwish] run collapses into one
     // fused epilogue pass. Never taken in training mode — the fused path
     // caches no activations for backward.

@@ -105,10 +105,18 @@ class Sequential : public Module {
   void visit(const std::function<void(Module&)>& fn) override;
   std::string name() const override { return display_name_; }
 
+  /// Opt this chain (not nested chains: see nn::fusion_setter) into the
+  /// eval-mode peephole that runs each Conv2d → BatchNorm2d
+  /// [→ ReLU | HSwish] run as one fused_conv_bn_act call. Default off.
+  void set_fusion(bool on) { fuse_ = on; }
+
   std::size_t size() const { return children_.size(); }
   Module& child(std::size_t i) { return *children_.at(i); }
 
  private:
+  // First: it packs into Module's tail padding, so the flag does not
+  // grow Sequential.
+  bool fuse_ = false;
   std::string display_name_ = "sequential";
   std::vector<std::unique_ptr<Module>> children_;
 };

@@ -16,30 +16,19 @@ class ByteReader;
 
 namespace hsconas::nn {
 
-/// Numeric type the eval-mode forward pass computes in. The seam is an
-/// enum (not a bool) so future datapaths (bf16, int4) slot in without
-/// another cross-layer refactor.
+/// Numeric type of an inference datapath, as configs and CLI flags name
+/// it. The seam is an enum (not a bool) so future datapaths (bf16, int4)
+/// slot in without another cross-layer refactor. The dtype is a property
+/// of each layer, not of the process: an eval-mode Conv2d / Linear
+/// computes in int8 exactly when its QuantState is frozen (ready) and its
+/// reduction depth fits tensor::kGemmI8MaxK; every other layer computes
+/// fp32. Calibrating a network (calibrate / calibrate_with) therefore
+/// switches it to int8 and QuantState::reset() switches a layer back.
 enum class InferenceDType : std::uint8_t { kF32 = 0, kI8 = 1 };
-
-/// Process-wide opt-in switch for the int8 inference datapath, the dtype
-/// analogue of set_inference_fusion(). Default kF32: training and every
-/// existing eval path are bit-for-bit untouched. When kI8, Conv2d and
-/// Linear eval-mode forwards route through the int8 GEMM for layers whose
-/// QuantState is ready (calibrated); uncalibrated layers fall back to
-/// fp32, so a partially calibrated model still computes correct results.
-void set_inference_dtype(InferenceDType dtype);
-InferenceDType inference_dtype();
 
 /// Parse/print helpers for CLI flags and bench JSON ("f32" / "int8").
 const char* inference_dtype_name(InferenceDType dtype);
 InferenceDType parse_inference_dtype(const std::string& name);
-
-/// Process-wide calibration-mode switch. While on, eval-mode Conv2d and
-/// Linear forwards feed their input activations to their MinMaxObserver
-/// (and still compute in fp32). Drive it via calibrate() rather than
-/// directly.
-void set_calibration_mode(bool on);
-bool calibration_mode();
 
 /// Running min/max over every batch fed through a layer during
 /// calibration; yields the asymmetric per-tensor uint8 activation
@@ -77,6 +66,10 @@ struct QuantState {
   tensor::Tensor qweight;                 ///< DType::kI8, weight's shape
   std::vector<float> weight_scales;       ///< per out-channel, length rows
   std::vector<std::int32_t> weight_row_sums;  ///< Σ_k qweight[c][k]
+  /// Armed by calibration: eval-mode forwards feed their fp32 input to
+  /// the observer.
+  bool observing = false;
+  /// Frozen: eval-mode forwards compute in int8.
   bool ready = false;
 
   /// Freeze from observed activations + the given weights: quantize the
@@ -92,6 +85,7 @@ struct QuantState {
                    tensor::QuantParams act,
                    const std::vector<float>& scales);
 
+  /// Back to an unarmed, uncalibrated fp32 layer.
   void reset();
 };
 
@@ -103,21 +97,23 @@ void quantize_u8(const float* x, std::size_t n, tensor::QuantParams p,
 /// Inverse map for one code (tests, diagnostics).
 float dequantize_u8(std::uint8_t q, tensor::QuantParams p);
 
-/// Post-training calibration driver: arms the observers, feeds each batch
-/// through `root` in eval mode, then freezes every layer that saw data.
-/// Returns the number of layers frozen. Restores the previous
-/// training/calibration/dtype state on exit; the forward passes always
-/// run in fp32 regardless of the current inference dtype.
+/// Post-training calibration driver: arms every quantizable layer's
+/// observer, feeds each batch through `root` in eval mode (fp32: arming
+/// resets the layers), then freezes every layer that saw data, which
+/// switches those layers to int8. Returns the number of layers frozen.
+/// Restores root's training flag on exit.
 std::size_t calibrate(Module& root,
                       const std::vector<tensor::Tensor>& batches);
 
 /// Generalized calibration driver for roots that are not Modules
 /// themselves (core::Supernet wraps its modules behind its own visit):
 /// `visit` must apply its argument to every module of the network and
-/// `forward` must run one fp32 eval-mode batch through it. The caller is
-/// responsible for putting the network in eval mode first; dtype and
-/// calibration-mode state are saved/restored here exactly as calibrate()
-/// does. Returns the number of layers frozen.
+/// `forward` must run one eval-mode batch through it. The caller is
+/// responsible for putting the network in eval mode first. Arm, forward,
+/// freeze: the layers of this network are the only state it touches. A
+/// forward that throws leaves the layers armed and fp32 until the next
+/// calibration or QuantState::reset(). Returns the number of layers
+/// frozen.
 std::size_t calibrate_with(
     const std::function<void(const std::function<void(Module&)>&)>& visit,
     const std::function<void(const tensor::Tensor&)>& forward,

@@ -60,10 +60,6 @@ BatchServer::BatchServer(const core::SearchSpace& space,
   input_size_ = static_cast<std::size_t>(channels_ * height_ * width_);
   output_size_ = static_cast<std::size_t>(sc.num_classes);
 
-  prev_fusion_ = nn::inference_fusion_enabled();
-  nn::set_inference_fusion(config_.fuse);
-  prev_dtype_ = nn::inference_dtype();
-
   nets_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     // Same seed for every replica: all lanes hold bit-identical weights,
@@ -71,6 +67,7 @@ BatchServer::BatchServer(const core::SearchSpace& space,
     nets_.push_back(
         std::make_unique<core::Supernet>(space, config_.seed, arch));
     nets_.back()->set_training(false);
+    nets_.back()->visit(nn::fusion_setter(config_.fuse));
   }
 
   if (config_.dtype == nn::InferenceDType::kI8) {
@@ -87,7 +84,6 @@ BatchServer::BatchServer(const core::SearchSpace& space,
           {n, channels_, height_, width_}, -1.0f, 1.0f, calib_rng));
     }
     for (auto& net : nets_) net->calibrate_quant(batches);
-    nn::set_inference_dtype(nn::InferenceDType::kI8);
   }
 
   ring_.assign(config_.queue_capacity, nullptr);
@@ -105,11 +101,7 @@ BatchServer::BatchServer(const core::SearchSpace& space,
   }
 }
 
-BatchServer::~BatchServer() {
-  shutdown();
-  nn::set_inference_dtype(prev_dtype_);
-  nn::set_inference_fusion(prev_fusion_);
-}
+BatchServer::~BatchServer() { shutdown(); }
 
 void BatchServer::shutdown() {
   {

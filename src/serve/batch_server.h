@@ -113,8 +113,6 @@ class BatchServer {
   std::size_t input_size_ = 0;
   std::size_t output_size_ = 0;
   long channels_ = 0, height_ = 0, width_ = 0;
-  bool prev_fusion_ = false;
-  nn::InferenceDType prev_dtype_ = nn::InferenceDType::kF32;
 
   std::vector<std::unique_ptr<core::Supernet>> nets_;
 

@@ -446,9 +446,7 @@ TEST(CheckpointQuant, CalibrationSectionRoundTripsThroughContainer) {
                                                       1.0f, rng);
   ASSERT_EQ(nn::calibrate(conv, {batch}), 1u);
 
-  nn::set_inference_dtype(nn::InferenceDType::kI8);
   const tensor::Tensor y_ref = conv.forward(batch);
-  nn::set_inference_dtype(nn::InferenceDType::kF32);
 
   // Persist params + calibration as sections of one container.
   std::vector<nn::Parameter*> params;
@@ -472,9 +470,7 @@ TEST(CheckpointQuant, CalibrationSectionRoundTripsThroughContainer) {
   pin.expect_done();
   read_calibration_payload(restored, reader.section(kCalibrationSection));
 
-  nn::set_inference_dtype(nn::InferenceDType::kI8);
   const tensor::Tensor y_restored = restored.forward(batch);
-  nn::set_inference_dtype(nn::InferenceDType::kF32);
 
   ASSERT_EQ(y_restored.numel(), y_ref.numel());
   for (long i = 0; i < y_ref.numel(); ++i) {

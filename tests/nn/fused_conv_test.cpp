@@ -4,8 +4,9 @@
 // module pipeline across strides, padding, groups, depthwise and both
 // activations — including the case where the fold is arithmetically
 // exact (gamma == 1, running_mean == 0, no conv bias: tolerance 0) —
-// plus the Sequential eval-mode peephole and thread-count determinism
-// (of the fused conv, the depthwise forward and global average pooling).
+// plus the Sequential eval-mode peephole, its per-network switch, and
+// thread-count determinism (of the fused conv, the depthwise forward and
+// global average pooling).
 
 #include "nn/fused_conv.h"
 
@@ -178,19 +179,6 @@ TEST(FusedConv, DepthwiseAndPoolBitIdenticalAcrossThreadCounts) {
   util::ThreadPool::configure_global(prev);
 }
 
-/// RAII toggle so a failing assertion cannot leak fusion-enabled state
-/// into unrelated tests.
-class FusionGuard {
- public:
-  explicit FusionGuard(bool on) : prev_(inference_fusion_enabled()) {
-    set_inference_fusion(on);
-  }
-  ~FusionGuard() { set_inference_fusion(prev_); }
-
- private:
-  bool prev_;
-};
-
 TEST(FusedConv, SequentialPeepholeFusesInEvalOnly) {
   util::Rng rng(500);
   Sequential seq;
@@ -205,7 +193,7 @@ TEST(FusedConv, SequentialPeepholeFusesInEvalOnly) {
   obs::Counter& fused_calls = obs::counter("hsconas.nn.fused_conv_calls");
 
   const Tensor plain = seq.forward(x);
-  FusionGuard guard(true);
+  seq.set_fusion(true);
 
   const std::uint64_t before = fused_calls.value();
   const Tensor fused = seq.forward(x);
@@ -218,15 +206,14 @@ TEST(FusedConv, SequentialPeepholeFusesInEvalOnly) {
   }
 
   // Fusion off: the composed path runs, and it still matches.
-  {
-    FusionGuard off(false);
-    const std::uint64_t before_off = fused_calls.value();
-    const Tensor y = seq.forward(x);
-    EXPECT_EQ(fused_calls.value(), before_off);
-    for (long i = 0; i < y.numel(); ++i) {
-      ASSERT_EQ(y.data()[i], plain.data()[i]);
-    }
+  seq.set_fusion(false);
+  const std::uint64_t before_off = fused_calls.value();
+  const Tensor y = seq.forward(x);
+  EXPECT_EQ(fused_calls.value(), before_off);
+  for (long i = 0; i < y.numel(); ++i) {
+    ASSERT_EQ(y.data()[i], plain.data()[i]);
   }
+  seq.set_fusion(true);
 
   // Training mode must never peephole (backward needs module caches).
   // Last, because a training-mode forward updates BN's running stats and
@@ -236,6 +223,38 @@ TEST(FusedConv, SequentialPeepholeFusesInEvalOnly) {
   seq.forward(x);
   EXPECT_EQ(fused_calls.value(), before_train);
   (void)conv;
+}
+
+// Fusion is network state: fusion_setter() reaches chains nested inside
+// a network and leaves every other network composed.
+TEST(FusedConv, FusionSetterReachesNestedChainsOfOneNetworkOnly) {
+  util::Rng rng(650);
+  const auto add_block = [&rng](Sequential& seq) {
+    seq.add(std::make_unique<Conv2d>(4, 6, 3, 1, 1, 1, /*bias=*/false, rng));
+    seq.add(std::make_unique<BatchNorm2d>(6));
+    seq.add(std::make_unique<ReLU>());
+  };
+  Sequential net;
+  add_block(*net.add(std::make_unique<Sequential>("inner")));
+  Sequential other;
+  add_block(other);
+  net.set_training(false);
+  other.set_training(false);
+  const Tensor x = Tensor::uniform({1, 4, 5, 5}, -1, 1, rng);
+  obs::Counter& fused_calls = obs::counter("hsconas.nn.fused_conv_calls");
+
+  net.visit(fusion_setter(true));
+  std::uint64_t before = fused_calls.value();
+  net.forward(x);
+  EXPECT_EQ(fused_calls.value(), before + 1) << "nested chain not fused";
+  before = fused_calls.value();
+  other.forward(x);
+  EXPECT_EQ(fused_calls.value(), before) << "fusion leaked to another net";
+
+  net.visit(fusion_setter(false));
+  before = fused_calls.value();
+  net.forward(x);
+  EXPECT_EQ(fused_calls.value(), before);
 }
 
 TEST(FusedConv, ChannelMismatchThrows) {

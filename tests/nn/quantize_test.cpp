@@ -22,6 +22,7 @@
 #include "nn/conv2d.h"
 #include "nn/fused_conv.h"
 #include "nn/linear.h"
+#include "obs/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/serial.h"
@@ -32,22 +33,6 @@ namespace {
 
 using tensor::QuantParams;
 using tensor::Tensor;
-
-/// Restore the process-wide dtype/calibration switches on scope exit so
-/// a failing assertion can't leak int8 mode into later tests.
-class QuantModeGuard {
- public:
-  QuantModeGuard()
-      : dtype_(inference_dtype()), calib_(calibration_mode()) {}
-  ~QuantModeGuard() {
-    set_inference_dtype(dtype_);
-    set_calibration_mode(calib_);
-  }
-
- private:
-  InferenceDType dtype_;
-  bool calib_;
-};
 
 class PoolGuard {
  public:
@@ -169,7 +154,6 @@ struct ConvCase {
 };
 
 TEST(QuantizedConv, AgreesWithFp32WithinScaleTolerance) {
-  QuantModeGuard guard;
   const ConvCase cases[] = {
       {8, 12, 3, 1, 1, 1, true},   // dense
       {8, 8, 3, 2, 1, 8, false},   // depthwise, strided
@@ -185,13 +169,10 @@ TEST(QuantizedConv, AgreesWithFp32WithinScaleTolerance) {
     std::vector<Tensor> batches;
     batches.push_back(Tensor::uniform({2, c.in_ch, 9, 9}, -1.5f, 1.5f, rng));
     batches.push_back(Tensor::uniform({2, c.in_ch, 9, 9}, -1.0f, 2.0f, rng));
-    ASSERT_EQ(1u, calibrate(conv, batches));
-
     const Tensor x = Tensor::uniform({3, c.in_ch, 9, 9}, -1.2f, 1.2f, rng);
     const Tensor y32 = conv.forward(x);
-    set_inference_dtype(InferenceDType::kI8);
+    ASSERT_EQ(1u, calibrate(conv, batches));
     const Tensor y8 = conv.forward(x);
-    set_inference_dtype(InferenceDType::kF32);
     // Error budget: activation rounding (scale/2 per tap) plus weight
     // rounding, accumulated over the reduction. 2% of the output range
     // is far above what the 3x3/1x1 windows here can accumulate, and far
@@ -204,21 +185,18 @@ TEST(QuantizedConv, AgreesWithFp32WithinScaleTolerance) {
 }
 
 TEST(QuantizedConv, UncalibratedLayerFallsBackToFp32Exactly) {
-  QuantModeGuard guard;
   util::Rng rng(45);
   Conv2d conv(4, 6, 3, 1, 1, 1, true, rng);
-  conv.set_training(false);
   const Tensor x = Tensor::uniform({2, 4, 7, 7}, -1.0f, 1.0f, rng);
-  const Tensor y32 = conv.forward(x);
-  set_inference_dtype(InferenceDType::kI8);  // no calibration ran
-  const Tensor y8 = conv.forward(x);
-  ASSERT_EQ(0, std::memcmp(y32.data(), y8.data(),
-                           static_cast<std::size_t>(y32.numel()) *
+  const Tensor y_train = conv.forward(x);  // training mode: always fp32
+  conv.set_training(false);
+  const Tensor y_eval = conv.forward(x);   // no calibration ran
+  ASSERT_EQ(0, std::memcmp(y_train.data(), y_eval.data(),
+                           static_cast<std::size_t>(y_train.numel()) *
                                sizeof(float)));
 }
 
 TEST(QuantizedConv, FusedPeepholeComposesWithInt8) {
-  QuantModeGuard guard;
   util::Rng rng(46);
   auto seq = std::make_unique<Sequential>("block");
   auto* conv = seq->add(std::make_unique<Conv2d>(6, 10, 3, 1, 1, 1, true,
@@ -236,16 +214,11 @@ TEST(QuantizedConv, FusedPeepholeComposesWithInt8) {
   }
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({2, 6, 9, 9}, -1.0f, 1.0f, rng));
-  ASSERT_EQ(1u, calibrate(*seq, batches));
-
   const Tensor x = Tensor::uniform({2, 6, 9, 9}, -1.0f, 1.0f, rng);
-  const bool prev_fusion = inference_fusion_enabled();
-  set_inference_fusion(true);
+  seq->set_fusion(true);
   const Tensor y32 = seq->forward(x);
-  set_inference_dtype(InferenceDType::kI8);
+  ASSERT_EQ(1u, calibrate(*seq, batches));
   const Tensor y8 = seq->forward(x);
-  set_inference_dtype(InferenceDType::kF32);
-  set_inference_fusion(prev_fusion);
   const float tol = 0.02f * (max_abs(y32) + 1.0f);
   EXPECT_LT(max_abs_diff(y32, y8), tol)
       << "int8 under the conv/BN/act fusion peephole diverged";
@@ -300,7 +273,6 @@ Tensor int8_depthwise_reference(Conv2d& conv, const Tensor& x,
 }
 
 TEST(QuantizedConv, DepthwiseBitIdenticalToTapSkippingLoop) {
-  QuantModeGuard guard;
   struct Case {
     long k, stride, hw;
   };
@@ -318,11 +290,9 @@ TEST(QuantizedConv, DepthwiseBitIdenticalToTapSkippingLoop) {
     const Tensor x = Tensor::uniform({3, ch, c.hw, c.hw}, -1.2f, 2.2f, rng);
     const Tensor scale = Tensor::uniform({ch}, 0.5f, 1.5f, rng);
     const Tensor shift = Tensor::uniform({ch}, -0.3f, 0.3f, rng);
-    set_inference_dtype(InferenceDType::kI8);
     const Tensor plain = conv.forward(x);
     const Tensor fused = conv.forward_fused(x, scale.data(), shift.data(),
                                             tensor::EpilogueAct::kReLU);
-    set_inference_dtype(InferenceDType::kF32);
     const Tensor want_plain = int8_depthwise_reference(
         conv, x, nullptr, nullptr, tensor::EpilogueAct::kNone);
     const Tensor want_fused = int8_depthwise_reference(
@@ -336,31 +306,26 @@ TEST(QuantizedConv, DepthwiseBitIdenticalToTapSkippingLoop) {
 }
 
 TEST(QuantizedLinear, AgreesWithFp32WithinScaleTolerance) {
-  QuantModeGuard guard;
   util::Rng rng(47);
   Linear lin(32, 10, rng);
   lin.set_training(false);
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({4, 32}, -2.0f, 2.0f, rng));
-  ASSERT_EQ(1u, calibrate(lin, batches));
   const Tensor x = Tensor::uniform({5, 32}, -1.5f, 1.5f, rng);
   const Tensor y32 = lin.forward(x);
-  set_inference_dtype(InferenceDType::kI8);
+  ASSERT_EQ(1u, calibrate(lin, batches));
   const Tensor y8 = lin.forward(x);
-  set_inference_dtype(InferenceDType::kF32);
   const float tol = 0.02f * (max_abs(y32) + 1.0f);
   EXPECT_LT(max_abs_diff(y32, y8), tol);
 }
 
 TEST(QuantizedLinear, BatchedEqualsSequentialBitExactly) {
-  QuantModeGuard guard;
   util::Rng rng(48);
   Linear lin(16, 6, rng);
   lin.set_training(false);
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({3, 16}, -1.0f, 1.0f, rng));
   calibrate(lin, batches);
-  set_inference_dtype(InferenceDType::kI8);
   const Tensor x = Tensor::uniform({4, 16}, -1.0f, 1.0f, rng);
   const Tensor batched = lin.forward(x);
   for (long s = 0; s < 4; ++s) {
@@ -373,23 +338,43 @@ TEST(QuantizedLinear, BatchedEqualsSequentialBitExactly) {
   }
 }
 
-TEST(Calibration, RestoresModeAndDtypeSwitches) {
-  QuantModeGuard guard;
+TEST(Calibration, SwitchesLayerToInt8UntilReset) {
   util::Rng rng(49);
   Conv2d conv(4, 4, 3, 1, 1, 1, false, rng);
-  conv.set_training(true);
-  set_inference_dtype(InferenceDType::kI8);
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({1, 4, 7, 7}, -1.0f, 1.0f, rng));
-  calibrate(conv, batches);
+  const Tensor x = Tensor::uniform({2, 4, 7, 7}, -1.0f, 1.0f, rng);
+  const auto bytes = static_cast<std::size_t>(x.numel()) * sizeof(float);
+  obs::Counter& i8_calls = obs::counter("hsconas.gemm_i8.calls_requant");
+
+  // Uncalibrated: the eval forward is the fp32 one, bit for bit.
+  const Tensor y_train = conv.forward(x);
+  conv.set_training(false);
+  const Tensor y32 = conv.forward(x);
+  ASSERT_EQ(0, std::memcmp(y_train.data(), y32.data(), bytes));
+
+  // Calibrated: int8, and calibrate() put the training flag back.
+  conv.set_training(true);
+  ASSERT_EQ(1u, calibrate(conv, batches));
   EXPECT_TRUE(conv.training());
-  EXPECT_FALSE(calibration_mode());
-  EXPECT_EQ(InferenceDType::kI8, inference_dtype());
+  EXPECT_TRUE(conv.quant_state()->ready);
+  EXPECT_FALSE(conv.quant_state()->observing);
+  conv.set_training(false);
+  const std::uint64_t calls0 = i8_calls.value();
+  const Tensor y8 = conv.forward(x);
+  EXPECT_GT(i8_calls.value(), calls0);
+  EXPECT_NE(0, std::memcmp(y32.data(), y8.data(), bytes));
+  EXPECT_LT(max_abs_diff(y32, y8), 0.02f * (max_abs(y32) + 1.0f));
+
+  // Reset: fp32 again, bit for bit.
+  conv.quant_state()->reset();
+  const Tensor back = conv.forward(x);
+  EXPECT_EQ(0, std::memcmp(y32.data(), back.data(), bytes));
+
   EXPECT_THROW(calibrate(conv, {}), InvalidArgument);
 }
 
 TEST(Calibration, ExportImportRoundTripsBitExactly) {
-  QuantModeGuard guard;
   util::Rng rng(50);
   auto build = [] {
     util::Rng wrng(777);  // identical weights for both models
@@ -413,7 +398,6 @@ TEST(Calibration, ExportImportRoundTripsBitExactly) {
   import_calibration(*b, r);
   r.expect_done();
 
-  set_inference_dtype(InferenceDType::kI8);
   const Tensor x = Tensor::uniform({2, 4, 9, 9}, -1.0f, 1.0f, rng);
   const Tensor ya = a->forward(x);
   const Tensor yb = b->forward(x);
@@ -424,7 +408,6 @@ TEST(Calibration, ExportImportRoundTripsBitExactly) {
 }
 
 TEST(Calibration, ImportRejectsMismatchedModel) {
-  QuantModeGuard guard;
   util::Rng rng(51);
   Conv2d conv(4, 8, 3, 1, 1, 1, true, rng);
   conv.set_training(false);
@@ -448,14 +431,12 @@ TEST(Calibration, ImportRejectsMismatchedModel) {
 }
 
 TEST(QuantizedConv, BitIdenticalAcrossThreadCounts) {
-  QuantModeGuard guard;
   util::Rng rng(52);
   Conv2d conv(16, 24, 3, 1, 1, 2, true, rng);
   conv.set_training(false);
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({2, 16, 14, 14}, -1.0f, 1.0f, rng));
   calibrate(conv, batches);
-  set_inference_dtype(InferenceDType::kI8);
   const Tensor x = Tensor::uniform({4, 16, 14, 14}, -1.0f, 1.0f, rng);
   Tensor y1;
   {

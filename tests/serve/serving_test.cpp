@@ -1,14 +1,16 @@
 // Serving-layer contracts (ctest -L serving; the TSan CI stage re-runs
 // this label): dynamic-batching flush rules, FIFO scheduling, the
 // zero-allocation steady state, graceful shutdown, batched-vs-sequential
-// bit-identity, and the ThreadPool::configure_global mid-flight rejection
-// these lanes rely on. Each TEST runs as its own ctest process
+// bit-identity, per-server dtype, and the ThreadPool::configure_global
+// mid-flight rejection these lanes rely on. Each TEST runs as its own ctest process
 // (gtest_discover_tests), so global-pool and metric state never leaks
 // between cases.
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -260,9 +262,9 @@ TEST(BatchServer, BatchedMatchesSequentialBitExact) {
   for (auto& t : clients) t.join();
 
   // Reference: same seed, same arch, same fused eval path, batch of 1.
-  nn::set_inference_fusion(true);
   core::Supernet reference(space, cfg.seed, arch);
   reference.set_training(false);
+  reference.visit(nn::fusion_setter(true));
   const auto& sc = space.config();
   for (std::size_t i = 0; i < 4; ++i) {
     tensor::Tensor one({1, sc.input_channels, sc.input_size, sc.input_size});
@@ -275,6 +277,53 @@ TEST(BatchServer, BatchedMatchesSequentialBitExact) {
           << "sample " << i << " logit " << j
           << " differs between batched and sequential execution";
     }
+  }
+}
+
+// Dtype is per server: building an fp32 server next to an int8 one and
+// then destroying it must leave the int8 server serving int8, bit-identical
+// to a one-lane int8 reference of the same weights and quantizers.
+TEST(BatchServer, Int8ServerUnaffectedByFp32ServerLifetime) {
+  const core::SearchSpace space = proxy_space();
+  const core::Arch arch = sample_arch(space);
+  serve::ServerConfig int8_cfg;
+  int8_cfg.workers = 2;
+  int8_cfg.batch_max = 4;
+  int8_cfg.deadline_us = 0;
+  int8_cfg.dtype = nn::InferenceDType::kI8;
+
+  constexpr std::size_t kInputs = 4;
+  std::vector<std::vector<float>> inputs, references, fp32_outputs;
+  {
+    serve::ServerConfig ref_cfg = int8_cfg;
+    ref_cfg.workers = 1;
+    serve::BatchServer ref(space, arch, ref_cfg);
+    for (std::size_t i = 0; i < kInputs; ++i) {
+      inputs.push_back(sample_input(ref.input_size(), 60 + i));
+      references.emplace_back(ref.output_size());
+      ref.infer(inputs[i], references[i]);
+    }
+  }
+
+  serve::ServerConfig f32_cfg = int8_cfg;
+  f32_cfg.dtype = nn::InferenceDType::kF32;
+  auto f32_server = std::make_unique<serve::BatchServer>(space, arch, f32_cfg);
+  serve::BatchServer int8_server(space, arch, int8_cfg);
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    fp32_outputs.emplace_back(f32_server->output_size());
+    f32_server->infer(inputs[i], fp32_outputs[i]);
+  }
+  f32_server.reset();
+
+  const std::size_t bytes = references[0].size() * sizeof(float);
+  std::vector<float> out(int8_server.output_size());
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    int8_server.infer(inputs[i], out);
+    EXPECT_EQ(0, std::memcmp(out.data(), references[i].data(), bytes))
+        << "int8 response " << i << " differs from the int8 reference";
+    EXPECT_NE(0, std::memcmp(fp32_outputs[i].data(), references[i].data(),
+                             bytes))
+        << "fp32 and int8 responses coincide; the check above is vacuous";
   }
 }
 

@@ -26,9 +26,9 @@
 #      scoring suite holds activations across candidates (skipped with
 #      --fast).
 #   9. TSan build + full ctest, then explicit `ctest -L kernels`,
-#      `ctest -L obs`, and `ctest -L serving` re-runs (GEMM/fused-conv
-#      determinism, tracer/profiler, and batch-serving suites) under TSan
-#      (skipped with --fast).
+#      `ctest -L obs`, `ctest -L serving` and `ctest -L quant` re-runs
+#      (GEMM/fused-conv determinism, tracer/profiler, batch-serving and
+#      int8/calibration suites) under TSan (skipped with --fast).
 #  10. bench_serving closed-loop smoke: a reduced load-generation run
 #      through the batch server must finish error-free (skipped with
 #      --fast).
@@ -148,6 +148,13 @@ stage "batch-serving suites under TSan (ctest -L serving)"
 # construction; the serial -L serving re-run gives TSan clean
 # interleavings to watch.
 (cd "$root/ci-build-tsan" && ctest --output-on-failure -L serving)
+
+stage "int8/calibration suites under TSan (ctest -L quant)"
+# The int8 datapath and the calibration observer are switched by plain
+# per-layer QuantState flags that pool workers read during the forward;
+# the serial -L quant re-run checks those reads under multi-worker
+# int8 GEMMs and depthwise kernels.
+(cd "$root/ci-build-tsan" && ctest --output-on-failure -L quant)
 
 stage "serving load-generator smoke (bench_serving, reduced load)"
 # Closed-loop end-to-end pass through the batch server: nonzero exit means
